@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace net {
@@ -42,7 +41,7 @@ sim::Time FluidNet::path_propagation(const std::vector<LinkId>& path) const {
 
 FlowId FluidNet::start_flow(std::vector<LinkId> path, std::uint64_t bytes,
                             double cap_gbps,
-                            std::function<void()> on_complete) {
+                            sim::Callback on_complete) {
   for (LinkId l : path) {
     if (l >= links_.size()) throw std::out_of_range("start_flow: bad link id");
   }
@@ -77,16 +76,7 @@ void FluidNet::cancel_flow(FlowId id) {
 }
 
 double FluidNet::link_load_gbps(LinkId id) const {
-  double load = 0;
-  for (const auto& [fid, f] : flows_) {
-    for (LinkId l : f.path) {
-      if (l == id) {
-        load += f.rate;
-        break;
-      }
-    }
-  }
-  return bytes_per_ns_to_gbps(load);
+  return bytes_per_ns_to_gbps(links_.at(id).load);
 }
 
 const std::vector<LinkId>* FluidNet::flow_path(FlowId id) const {
@@ -123,27 +113,52 @@ void FluidNet::settle() {
 }
 
 void FluidNet::reallocate() {
-  // Progressive filling with per-flow caps.
-  struct LinkState {
-    double remaining;
-    int unfixed_flows = 0;
-  };
-  std::vector<LinkState> ls(links_.size());
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    ls[i].remaining = links_[i].capacity;
+  // Progressive filling with per-flow caps. Only links some flow crosses
+  // take part; the rest could not lower the bottleneck share.
+  for (LinkId l : live_links_) {
+    links_[l].load = 0;
+    links_[l].unfixed_flows = 0;
   }
-  // std::map, not unordered: fixing order feeds rate assignment below.
-  std::map<FlowId, Flow*> unfixed;
+  live_links_.clear();
+  unfixed_.clear();
   for (auto& [id, f] : flows_) {
     f.rate = 0;
-    unfixed.emplace(id, &f);
-    for (LinkId l : f.path) ++ls[l].unfixed_flows;
+    unfixed_.push_back(&f);
+    for (LinkId l : f.path) {
+      if (links_[l].unfixed_flows++ == 0) {
+        links_[l].remaining = links_[l].capacity;
+        live_links_.push_back(l);
+      }
+    }
   }
+  // Moves the unfixed flows matching `pred` to fixing_. Every flow is
+  // tested before any is fixed, and both lists stay in FlowId order.
+  const auto take = [this](auto pred) {
+    fixing_.clear();
+    std::size_t kept = 0;
+    for (Flow* f : unfixed_) {
+      if (pred(*f)) {
+        fixing_.push_back(f);
+      } else {
+        unfixed_[kept++] = f;
+      }
+    }
+    unfixed_.resize(kept);
+    return !fixing_.empty();
+  };
+  const auto fix = [this](Flow* f, double rate) {
+    f->rate = rate;
+    for (LinkId l : f->path) {
+      links_[l].remaining = std::max(0.0, links_[l].remaining - rate);
+      --links_[l].unfixed_flows;
+    }
+  };
 
-  while (!unfixed.empty()) {
+  while (!unfixed_.empty()) {
     // Fair share currently offered by the most constrained link.
     double bottleneck_share = std::numeric_limits<double>::infinity();
-    for (const auto& s : ls) {
+    for (LinkId l : live_links_) {
+      const Link& s = links_[l];
       if (s.unfixed_flows > 0) {
         bottleneck_share =
             std::min(bottleneck_share, s.remaining / s.unfixed_flows);
@@ -152,25 +167,13 @@ void FluidNet::reallocate() {
     // Flows whose own cap binds before the bottleneck share get fixed at
     // their cap; if none, every flow on the bottleneck link(s) gets the
     // fair share.
-    std::vector<FlowId> capped;
-    for (auto& [id, f] : unfixed) {
-      if (f->cap <= bottleneck_share) capped.push_back(id);
-    }
-    if (!capped.empty()) {
-      for (FlowId id : capped) {
-        Flow* f = unfixed[id];
-        f->rate = f->cap;
-        for (LinkId l : f->path) {
-          ls[l].remaining = std::max(0.0, ls[l].remaining - f->rate);
-          --ls[l].unfixed_flows;
-        }
-        unfixed.erase(id);
-      }
+    if (take([&](const Flow& f) { return f.cap <= bottleneck_share; })) {
+      for (Flow* f : fixing_) fix(f, f->cap);
       continue;
     }
     if (!std::isfinite(bottleneck_share)) {
       // Flows with no links and no cap: unbounded model error.
-      for (auto& [id, f] : unfixed) {
+      for (const Flow* f : unfixed_) {
         if (f->path.empty()) {
           throw std::logic_error("flow with empty path and no cap");
         }
@@ -178,26 +181,25 @@ void FluidNet::reallocate() {
       break;
     }
     // Fix all unfixed flows crossing a bottleneck link at the share.
-    std::vector<FlowId> at_bottleneck;
-    for (auto& [id, f] : unfixed) {
-      for (LinkId l : f->path) {
-        if (ls[l].unfixed_flows > 0 &&
-            ls[l].remaining / ls[l].unfixed_flows <=
-                bottleneck_share * (1 + 1e-12)) {
-          at_bottleneck.push_back(id);
-          break;
+    take([&](const Flow& f) {
+      for (LinkId l : f.path) {
+        const Link& s = links_[l];
+        if (s.unfixed_flows > 0 &&
+            s.remaining / s.unfixed_flows <= bottleneck_share * (1 + 1e-12)) {
+          return true;
         }
       }
-    }
-    assert(!at_bottleneck.empty());
-    for (FlowId id : at_bottleneck) {
-      Flow* f = unfixed[id];
-      f->rate = bottleneck_share;
-      for (LinkId l : f->path) {
-        ls[l].remaining = std::max(0.0, ls[l].remaining - f->rate);
-        --ls[l].unfixed_flows;
-      }
-      unfixed.erase(id);
+      return false;
+    });
+    assert(!fixing_.empty());
+    for (Flow* f : fixing_) fix(f, bottleneck_share);
+  }
+
+  // Cache each link's load: every flow adds its rate once per distinct
+  // link on its path, in FlowId order.
+  for (const auto& [id, f] : flows_) {
+    for (auto l = f.path.begin(); l != f.path.end(); ++l) {
+      if (std::find(f.path.begin(), l, *l) == l) links_[*l].load += f.rate;
     }
   }
   arm_completion_timer();
@@ -227,7 +229,7 @@ void FluidNet::arm_completion_timer() {
 
 void FluidNet::fire_completions() {
   settle();
-  std::vector<std::pair<std::function<void()>, sim::Time>> done;
+  std::vector<std::pair<sim::Callback, sim::Time>> done;
   for (auto it = flows_.begin(); it != flows_.end();) {
     Flow& f = it->second;
     if (f.bytes_total > 0 && f.bytes_remaining <= kByteEpsilon) {

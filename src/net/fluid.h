@@ -14,12 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <map>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/event_loop.h"
+#include "sim/flat_map.h"
 #include "sim/time.h"
 
 namespace net {
@@ -54,7 +54,7 @@ class FluidNet {
   //  bytes    == 0: unbounded flow; never completes; cancel explicitly.
   //  cap_gbps     : per-flow rate limiter (kUncapped for none).
   FlowId start_flow(std::vector<LinkId> path, std::uint64_t bytes,
-                    double cap_gbps, std::function<void()> on_complete);
+                    double cap_gbps, sim::Callback on_complete);
 
   // Changes a flow's rate cap (hardware rate-limiter reprogramming).
   void set_flow_cap(FlowId id, double cap_gbps);
@@ -75,7 +75,8 @@ class FluidNet {
   sim::Time path_propagation(const std::vector<LinkId>& path) const;
 
   // Instantaneous offered load on a link (sum of crossing flows' rates),
-  // in Gbps — what an ECN marking engine watches.
+  // in Gbps — what an ECN marking engine watches. O(1): reallocate() keeps
+  // it. Throws std::out_of_range for an unknown link.
   double link_load_gbps(LinkId id) const;
   // The links a flow traverses (nullptr if the flow is gone).
   const std::vector<LinkId>* flow_path(FlowId id) const;
@@ -84,6 +85,10 @@ class FluidNet {
   struct Link {
     double capacity;  // bytes/ns
     sim::Time prop_delay;
+    double load = 0;  // bytes/ns; summed by reallocate() in FlowId order
+    // Progressive-filling state, valid while the link is in live_links_.
+    double remaining = 0;  // bytes/ns
+    int unfixed_flows = 0;
   };
   struct Flow {
     std::vector<LinkId> path;
@@ -92,7 +97,7 @@ class FluidNet {
     double bytes_done = 0;
     double cap;                     // bytes/ns
     double rate = 0;                // bytes/ns, assigned by reallocate()
-    std::function<void()> on_complete;
+    sim::Callback on_complete;
   };
 
   // Advances every finite flow's remaining-byte count to now().
@@ -104,10 +109,14 @@ class FluidNet {
 
   sim::EventLoop& loop_;
   std::vector<Link> links_;
-  // Ordered by FlowId: reallocate()/fire_completions() iterate this map
-  // and their iteration order feeds completion-event ordering, which
-  // must be deterministic (masq-lint: unordered-iter).
-  std::map<FlowId, Flow> flows_;
+  // Iterates in FlowId order (ids only grow and FlatMap keeps insertion
+  // order). Rates, link loads and completion-event order all depend on
+  // reallocate() and fire_completions() walking flows in this order.
+  sim::FlatMap<FlowId, Flow> flows_;
+  // reallocate() scratch, kept across calls so filling allocates nothing.
+  std::vector<LinkId> live_links_;  // links at least one flow crosses
+  std::vector<Flow*> unfixed_;      // FlowId order
+  std::vector<Flow*> fixing_;       // fixed this round, FlowId order
   FlowId next_flow_id_ = 1;
   sim::Time last_settle_ = 0;
   std::uint64_t timer_generation_ = 0;

@@ -709,9 +709,8 @@ void RnicDevice::launch_wqe(Qp& qp, SendWr wr) {
 
   const bool is_ud = qp.init.type == QpType::kUd;
   if (!is_ud) {
-    PendingSend pend{wr, false, WcStatus::kSuccess};
-    pend.msg = msg;  // retransmission copy
-    pend.retries_left = kRcRetryCount;
+    // msg is the retransmission copy.
+    PendingSend pend{wr, false, WcStatus::kSuccess, msg, kRcRetryCount};
     qp.pending.emplace(msg.psn, std::move(pend));
     ++qp.outstanding;
   }

@@ -32,6 +32,7 @@ class Callback {
   static constexpr std::size_t kInlineBytes = 40;
 
   Callback() = default;
+  Callback(std::nullptr_t) {}  // NOLINT: empty, as std::function(nullptr)
 
   template <typename F,
             typename = std::enable_if_t<

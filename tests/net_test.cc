@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "net/addr.h"
 #include "net/fluid.h"
@@ -236,6 +237,18 @@ TEST_F(FluidTest, ZeroRateFlowNeverCompletes) {
   net.set_flow_cap(f, net::kUncapped);
   loop.run();
   EXPECT_TRUE(done);
+}
+
+// Regression: link_load_gbps used to answer 0 for a link that does not
+// exist, while link_capacity_gbps threw; both now throw.
+TEST_F(FluidTest, LinkLoadOfUnknownLinkThrows) {
+  auto link = net.add_link(40.0, 0_ns);
+  auto f = net.start_flow({link}, 0, net::kUncapped, nullptr);
+  EXPECT_EQ(net.link_load_gbps(link), 40.0);
+  EXPECT_THROW(net.link_load_gbps(link + 1), std::out_of_range);
+  EXPECT_THROW(net.link_capacity_gbps(link + 1), std::out_of_range);
+  net.cancel_flow(f);
+  EXPECT_EQ(net.link_load_gbps(link), 0.0);  // no stale cached load
 }
 
 // Property test: on random topologies the allocation is feasible and

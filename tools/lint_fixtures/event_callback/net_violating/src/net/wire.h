@@ -1,0 +1,16 @@
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+namespace net {
+
+class Wire {
+ public:
+  std::uint64_t start_flow(std::vector<std::uint32_t> path,
+                           std::uint64_t bytes,
+                           std::function<void()> on_complete);
+};
+
+}  // namespace net

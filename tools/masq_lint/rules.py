@@ -16,14 +16,16 @@
   naked-new       No naked `new` in src/ — ownership goes through
                   std::make_unique/std::make_shared or containers.
   container       No std::map / std::unordered_map in src/sim, src/rnic,
-                  or src/sdn. The DESIGN.md §13 refactor moved every hot
-                  table to sim::FlatMap (open addressing, insertion-ordered
+                  src/sdn or src/net. The DESIGN.md §13 refactor moved every
+                  hot table to sim::FlatMap (open addressing, insertion-ordered
                   iteration); node-based maps cost a cache miss per hop and
                   unordered ones leak hash-table layout into event order.
                   Cold-path exceptions annotate an allowance.
   event-callback  No std::function in event-loop scheduling signatures in
-                  src/sim. Scheduling goes through sim::Callback (64-byte
-                  SBO, move-only); std::function re-introduces a heap
+                  src/sim or src/net (FluidNet::start_flow's completion
+                  callback included), even when the signature wraps.
+                  Scheduling goes through sim::Callback (64-byte SBO,
+                  move-only); std::function re-introduces a heap
                   allocation and a copy per scheduled event — the exact
                   costs the arena/SBO refactor removed.
 
@@ -241,6 +243,7 @@ CONTAINER_DIRS = (
     os.path.join("src", "sim"),
     os.path.join("src", "rnic"),
     os.path.join("src", "sdn"),
+    os.path.join("src", "net"),
 )
 CONTAINER_RE = re.compile(r"\bstd::(unordered_map|map)\s*<")
 
@@ -270,20 +273,39 @@ def check_container(src: SourceFile, violations: list[Violation]) -> None:
 
 # A scheduling signature is one that both names a scheduling verb and takes
 # a std::function — the shape the sim::Callback refactor eliminated from
-# the event loop. Hook registration (FaultPlane::arm etc.) is not
+# the event loop. FluidNet::start_flow counts: its completion callback is
+# scheduled on the loop. Hook registration (FaultPlane::arm etc.) is not
 # scheduling and stays free to use std::function.
 SCHEDULE_VERB_RE = re.compile(
-    r"\b(?:schedule\w*|defer|post|run_at|call_at|call_in)\s*\("
+    r"\b(?:schedule\w*|defer|post|run_at|call_at|call_in|start_flow)\s*\("
 )
-EVENT_CB_DIR = os.path.join("src", "sim")
+EVENT_CB_DIRS = (
+    os.path.join("src", "sim"),
+    os.path.join("src", "net"),
+)
+# A signature may wrap; read on to the first `;` or `{`, at most this many
+# lines.
+SIGNATURE_MAX_LINES = 8
+
+
+def signature_text(code: list[str], idx: int, start: int) -> str:
+    """Text from column `start` of line `idx` to the first `;` or `{`."""
+    text = ""
+    for line in code[idx:idx + SIGNATURE_MAX_LINES]:
+        text += " " + (line[start:] if not text else line)
+        if ";" in line or "{" in line:
+            break
+    return text
 
 
 def check_event_callback(src: SourceFile,
                          violations: list[Violation]) -> None:
-    if os.sep + EVENT_CB_DIR + os.sep not in src.path:
+    if not any(os.sep + d + os.sep in src.path for d in EVENT_CB_DIRS):
         return
     for idx, line in enumerate(src.code):
-        if "std::function" not in line or not SCHEDULE_VERB_RE.search(line):
+        m = SCHEDULE_VERB_RE.search(line)
+        if not m or "std::function" not in signature_text(src.code, idx,
+                                                          m.start()):
             continue
         lineno = idx + 1
         if src.is_allowed("event-callback", lineno):

@@ -43,9 +43,15 @@ EXPECT = {
     ("container", "violating"): {"container"},
     ("container", "allowed"): set(),
     ("container", "clean"): set(),
+    ("container", "net_violating"): {"container"},
+    ("container", "net_clean"): set(),
     ("event_callback", "violating"): {"event-callback"},
     ("event_callback", "allowed"): set(),
     ("event_callback", "clean"): set(),
+    # A start_flow signature that wraps before its std::function parameter.
+    ("event_callback", "net_violating"): {"event-callback"},
+    ("event_callback", "net_allowed"): set(),
+    ("event_callback", "net_clean"): set(),
     # Acceptance fixture: mutable global written from window-side code.
     ("shared_state", "violating"): {"shared-state"},
     ("shared_state", "allowed"): set(),
@@ -114,6 +120,18 @@ def allowance_listing() -> None:
     )
 
 
+def wrapped_signature_line() -> None:
+    # The wrapped signature is reported once, at the line naming start_flow.
+    root = os.path.join(FIXTURES, "event_callback", "net_violating")
+    violations, _ = lint(root)
+    check(
+        "wrapped start_flow signature is flagged at its first line",
+        [(os.path.basename(v.path), v.lineno) for v in violations]
+        == [("wire.h", 11)],
+        f"got {violations}",
+    )
+
+
 def report_shape() -> None:
     root = os.path.join(FIXTURES, "shared_state", "violating")
     report = lint_report(root)
@@ -171,6 +189,7 @@ def real_tree() -> None:
 def main() -> int:
     fixture_cases()
     allowance_listing()
+    wrapped_signature_line()
     report_shape()
     cli_shim()
     real_tree()
