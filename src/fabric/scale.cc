@@ -18,9 +18,39 @@ namespace fabric {
 
 namespace {
 
-using storm::ParkedConn;
-using storm::WarmTokens;
-using storm::take_warm_token;
+// ---- warm-path model (DESIGN.md §14) ----
+// Analytic state only — no timer events — so the model is a pure function
+// of each connect's virtual start time and warm-off runs keep their event
+// stream. Token bucket: pre-staged QP/CQ ladders per VM. Parked pair: an
+// RTS QP kept warm toward one peer generation until its idle TTL.
+struct WarmTokens {
+  std::uint64_t tokens = 0;
+  sim::Time last = 0;  // restock clock (advanced by whole refill periods)
+};
+struct ParkedConn {
+  std::uint32_t gen = 0;  // peer vGID generation the QP is bound to
+  sim::Time expires = 0;  // lazy idle-timeout reclaim deadline
+};
+
+// Lazy restock + take: tokens refill one per warm_refill of elapsed
+// virtual time — the background refill with no events of its own, so
+// enabling warm changes latencies but never injects extra loop events.
+bool take_warm_token(const ScaleConfig& cfg, WarmTokens& w, sim::Time now) {
+  if (w.tokens >= cfg.warm_pool) {
+    w.last = now;  // full pool: the refill clock idles
+  } else if (cfg.warm_refill > 0) {
+    const std::uint64_t earned =
+        static_cast<std::uint64_t>((now - w.last) / cfg.warm_refill);
+    const std::uint64_t add =
+        std::min<std::uint64_t>(earned, cfg.warm_pool - w.tokens);
+    w.tokens += add;
+    w.last += cfg.warm_refill * static_cast<sim::Time>(add);
+    if (w.tokens >= cfg.warm_pool) w.last = now;
+  }
+  if (w.tokens == 0) return false;
+  --w.tokens;
+  return true;
+}
 
 // The whole storm lives in one Driver so the coroutines below can take a
 // raw pointer (the codebase's detached-coroutine idiom); the Driver
@@ -69,8 +99,8 @@ struct Driver {
     if (c.warm) warm_vm.assign(total_vms(), WarmTokens{c.warm_pool, 0});
   }
 
-  // Topology arithmetic is shared with the partition engine so the two
-  // describe the same storm (fabric/storm_schedule.h).
+  // Topology arithmetic lives in fabric/storm_schedule.h, shared with the
+  // traffic phase.
   std::size_t total_vms() const { return storm::total_vms(cfg); }
   std::size_t host_of(std::size_t vm) const { return storm::host_of(cfg, vm); }
   std::size_t tenant_of(std::size_t vm) const {
@@ -262,9 +292,7 @@ ScaleReport run_scale_storm(const ScaleConfig& cfg) {
   }
   r.sim_events = d.loop.events_executed();
   r.trace_hash = cfg.trace ? d.loop.trace_hash() : 0;
-  r.engine_threads = 0;
-  // Fabric traffic phase: a pure function of (config, schedule), so the
-  // partitioned engine appends the identical block.
+  // Fabric traffic phase: a pure function of (config, schedule).
   if (cfg.traffic.enabled) r.traffic = run_traffic_phase(cfg, sched);
   return r;
 }

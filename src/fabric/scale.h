@@ -31,8 +31,7 @@ namespace fabric {
 // leaf–spine Clos fabric (net::FabricTopology) with per-link max-min
 // sharing, ECMP placement, multi-hop DCQCN, and optional per-tenant rate
 // limiters. The phase is a pure function of (config, schedule) and runs on
-// its own single-threaded loop, so both storm engines produce the same
-// block at any thread count.
+// its own event loop after the storm.
 struct TrafficConfig {
   bool enabled = false;
   // Topology. leaves == 0 selects direct mode: flows cross only the two
@@ -80,7 +79,7 @@ struct TrafficReport {
   double fct_p99_us = 0;
   double fct_max_us = 0;
   // ECMP determinism: FNV-1a fold of every flow's (index, spine) choice;
-  // -1 folds for intra-leaf flows. Identical across reruns and engines.
+  // -1 folds for intra-leaf flows. Identical across reruns.
   std::uint64_t ecmp_fold = 0;
   std::size_t spine_crossings = 0;  // flows that traversed a spine
   // Congestion outcomes.
@@ -158,7 +157,7 @@ struct ScaleConfig {
 
   // Mix every executed event into the loop's FNV-1a trace hash (reported
   // via ScaleReport::trace_hash). Costs a few percent of wall clock; the
-  // determinism tests turn it on to prove thread-count invariance.
+  // determinism tests turn it on to pin the exact event stream.
   bool trace = false;
 
   // Fabric traffic phase appended after the storm (TrafficConfig above).
@@ -166,15 +165,6 @@ struct ScaleConfig {
   // enabled, so traffic-off reports stay byte-identical to the legacy
   // schema.
   TrafficConfig traffic;
-
-  // Arm the partition-ownership auditor (check::PartitionOwnershipAuditor)
-  // in the partitioned engine: every loop access and tagged hot-table
-  // access is validated against the DESIGN.md §16 ownership model, and a
-  // cross-partition access outside the barrier throws with partition +
-  // thread diagnostics. MASQ_CHECK=1 in the environment arms it too. The
-  // auditor observes only — reports and trace hashes are byte-identical
-  // armed or not (and `check` is deliberately NOT serialized by json()).
-  bool check = false;
 };
 
 struct ShardReport {
@@ -233,13 +223,10 @@ struct ScaleReport {
   std::vector<ShardReport> per_shard;
 
   // ---- engine observability, NOT serialized by json() ----
-  // Kept out of the report JSON so the single-loop and partitioned
-  // engines, and runs at different thread counts, can be byte-diffed on
-  // json() alone. sim_events and trace_hash are still deterministic per
-  // engine (the scaletest tool prints them separately).
-  std::uint64_t sim_events = 0;   // events executed across all loops
-  std::uint64_t trace_hash = 0;   // FNV fold; 0 unless cfg.trace was set
-  std::size_t engine_threads = 0; // worker threads; 0 = single-loop engine
+  // Deterministic, but kept out of the report JSON (the scaletest tool
+  // prints them in its "perf" block).
+  std::uint64_t sim_events = 0;  // storm events executed
+  std::uint64_t trace_hash = 0;  // FNV fold; 0 unless cfg.trace was set
 
   // Fixed field order, fixed formatting, no timestamps — two identical
   // (config, seed) runs serialize to byte-identical JSON.
@@ -247,15 +234,5 @@ struct ScaleReport {
 };
 
 ScaleReport run_scale_storm(const ScaleConfig& cfg);
-
-// Partition-parallel engine (DESIGN.md §13): cfg.shards partitions, each
-// with its own event loop and replica control plane, advanced in
-// rtt-width windows on `threads` workers with a deterministic
-// (send_time, partition, seq) merge of cross-partition traffic. The
-// report — and, with cfg.trace set, the trace hash — is byte-identical
-// for every `threads` value. Requires batching (cfg.batch_window > 0 and
-// cfg.query_rtt > 0); falls back to run_scale_storm otherwise.
-ScaleReport run_scale_storm_parallel(const ScaleConfig& cfg,
-                                     std::size_t threads);
 
 }  // namespace fabric

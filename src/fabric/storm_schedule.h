@@ -1,15 +1,12 @@
-// Storm topology + pre-drawn schedule, shared by both scale-storm engines
-// (DESIGN.md §12–§13).
+// Storm topology + pre-drawn schedule (DESIGN.md §12), shared by the storm
+// engine (scale.cc) and the fabric traffic phase (traffic.cc).
 //
-// The single-loop engine (scale.cc) and the partition-parallel engine
-// (scale_partition.cc) must describe the *same* storm: same VM→host/tenant
-// geometry, same vGID arithmetic, and — critically — the same seeded
-// random draws in the same order. Everything here is a pure function of
-// (config, seed); neither engine consumes randomness after its loops
-// start.
+// Everything here is a pure function of (config, seed): the same VM→host/
+// tenant geometry, the same vGID arithmetic, and the same seeded random
+// draws in the same order. Nothing consumes randomness once the loop
+// starts.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -41,52 +38,10 @@ inline net::Gid pgid_of_host(std::size_t h) {
   return net::Gid::from_ipv4(
       net::Ipv4Addr{0x0A000000u + static_cast<std::uint32_t>(h) + 1});
 }
-// Partition placement (partition engine): partitions are indexed like
-// shards (cfg.shards of them, regardless of worker threads) and a host's
-// VMs all live in one partition, so a VM's cache/agent state is local.
-inline std::size_t partition_of_host(const ScaleConfig& cfg, std::size_t h) {
-  return h % cfg.shards;
-}
-
-// ---- warm-path model (DESIGN.md §14), shared by both engines ----
-// Analytic state only — no timer events — so the model is a pure function
-// of each connect's virtual start time and both engines stay byte-equal.
-// Token bucket: pre-staged QP/CQ ladders per VM. Parked pair: an RTS QP
-// kept warm toward one peer generation until its idle TTL.
-struct WarmTokens {
-  std::uint64_t tokens = 0;
-  sim::Time last = 0;  // restock clock (advanced by whole refill periods)
-};
-struct ParkedConn {
-  std::uint32_t gen = 0;  // peer vGID generation the QP is bound to
-  sim::Time expires = 0;  // lazy idle-timeout reclaim deadline
-};
-
-// Lazy restock + take: tokens refill one per warm_refill of elapsed
-// virtual time — the background refill with no events of its own, so
-// enabling warm changes latencies but never injects extra loop events.
-inline bool take_warm_token(const ScaleConfig& cfg, WarmTokens& w,
-                            sim::Time now) {
-  if (w.tokens >= cfg.warm_pool) {
-    w.last = now;  // full pool: the refill clock idles
-  } else if (cfg.warm_refill > 0) {
-    const std::uint64_t earned =
-        static_cast<std::uint64_t>((now - w.last) / cfg.warm_refill);
-    const std::uint64_t add =
-        std::min<std::uint64_t>(earned, cfg.warm_pool - w.tokens);
-    w.tokens += add;
-    w.last += cfg.warm_refill * static_cast<sim::Time>(add);
-    if (w.tokens >= cfg.warm_pool) w.last = now;
-  }
-  if (w.tokens == 0) return false;
-  --w.tokens;
-  return true;
-}
-
 // ---- the pre-drawn schedule ----
 // Drawn up front from one seeded stream in one fixed order (wave
 // connections, then IP changes, then rule resets); the vectors are in
-// legacy spawn order, which is also each engine's tie-break order for
+// spawn order, which is also the engine's tie-break order for
 // same-timestamp events.
 struct StormSchedule {
   struct Conn {

@@ -105,12 +105,7 @@ sim::Task<void> HostAgent::flush_lane(HostAgent* self, std::size_t shard,
     std::vector<Controller::QueryReply> replies;
     bool failed = false;
     try {
-      if (self->transport_) {
-        replies = co_await self->transport_(shard, std::move(keys));
-      } else {
-        replies = co_await self->controller_.query_batch(shard,
-                                                         std::move(keys));
-      }
+      replies = co_await self->controller_.query_batch(shard, std::move(keys));
     } catch (...) {
       // Propagate to every leader riding this batch; the cache's leader
       // path forwards the exception to its followers.

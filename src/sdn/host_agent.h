@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -74,15 +73,6 @@ class HostAgent {
   Controller& controller() { return controller_; }
   const HostAgentConfig& config() const { return config_; }
 
-  // ---- partitioned execution (DESIGN.md §13) ----
-  // When set, lane flushes go through this transport instead of calling
-  // Controller::query_batch directly. The partition engine uses it to route
-  // the host→shard round trip through the cross-partition coordinator
-  // while everything else (lanes, cache, windows) runs unchanged.
-  using BatchTransport = std::function<sim::Task<
-      std::vector<Controller::QueryReply>>(std::size_t, std::vector<VirtKey>)>;
-  void set_batch_transport(BatchTransport fn) { transport_ = std::move(fn); }
-
   // ---- telemetry ----
   // query_batch round trips issued / keys they carried. keys/batches is
   // the amortization factor the agent buys.
@@ -123,7 +113,6 @@ class HostAgent {
   sim::EventLoop& loop_;
   Controller& controller_;
   HostAgentConfig config_;
-  BatchTransport transport_;
   MappingCache cache_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   Controller::SubId prefill_sub_ = 0;

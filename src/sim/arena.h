@@ -12,11 +12,9 @@
 //              list, zero malloc traffic.
 //   frame_alloc/frame_free
 //              size-classed pool for C++20 coroutine frames (sim::Task
-//              promises route operator new/delete here). Free lists are
-//              thread-local (partition loops run on worker threads); the
-//              backing slabs live in a process-wide registry so a frame
-//              allocated by one thread may be freed by another and the
-//              memory stays valid until process exit.
+//              promises route operator new/delete here). One
+//              process-wide set of free lists over slabs that stay valid
+//              until process exit.
 //
 // Under ASan/UBSan builds every pool degrades to plain new/delete so the
 // sanitizers keep seeing real object lifetimes (a recycled frame would
@@ -26,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <utility>
 #include <vector>
@@ -145,24 +142,18 @@ inline constexpr std::size_t kFrameClassShift = 6;  // 64-byte classes
 inline constexpr std::size_t kFrameClasses = 32;    // up to 2 KiB pooled
 
 // Slabs are owned process-wide (freed at static destruction, so leak
-// checkers stay clean) because frames migrate: a frame allocated while a
-// coroutine is created on the coordinator thread is destroyed by whichever
-// worker runs its partition last.
+// checkers stay clean): a frame may outlive the loop that created it.
 struct FrameSlabRegistry {
-  std::mutex mu;
   std::vector<std::unique_ptr<unsigned char[]>> slabs;
 
   unsigned char* grab_slab(std::size_t bytes) {
-    auto slab = std::make_unique<unsigned char[]>(bytes);
-    unsigned char* p = slab.get();
-    std::lock_guard<std::mutex> lock(mu);
-    slabs.push_back(std::move(slab));
-    return p;
+    slabs.push_back(std::make_unique<unsigned char[]>(bytes));
+    return slabs.back().get();
   }
 };
 
 inline FrameSlabRegistry& frame_slab_registry() {
-  MASQ_SHARED_STATE("process-wide slab keep-alive; every access takes its internal mutex, and freed frames only move through thread_local free lists")
+  MASQ_SHARED_STATE("allocator memory only: frame addresses are never hashed, compared or iterated, so no run observes another's slabs")
   static FrameSlabRegistry registry;
   return registry;
 }
@@ -172,7 +163,8 @@ struct FrameFreeLists {
 };
 
 inline FrameFreeLists& frame_free_lists() {
-  thread_local FrameFreeLists lists;
+  MASQ_SHARED_STATE("allocator memory only: which free block a frame reuses is never observable in the event stream")
+  static FrameFreeLists lists;
   return lists;
 }
 

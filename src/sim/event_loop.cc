@@ -23,7 +23,6 @@ EventLoop::~EventLoop() {
 }
 
 void EventLoop::schedule_at(Time t, Callback cb) {
-  if (probe_) probe_->on_loop_access(*this, "schedule");
   if (t < now_) t = now_;
   EventNode* n = pool_.acquire();
   n->t = t;
@@ -38,11 +37,9 @@ void EventLoop::schedule_after(Time delay, Callback cb) {
 }
 
 void EventLoop::step() {
-  if (probe_) probe_->on_loop_access(*this, "execute");
   EventNode* n = queue_.pop();
   assert(n->t >= now_);
   now_ = n->t;
-  last_event_time_ = n->t;
   ++executed_;
   if (trace_enabled_) {
     mix_trace(static_cast<std::uint64_t>(n->t));
@@ -74,16 +71,6 @@ void EventLoop::run_until(Time deadline) {
     if ((executed_ & 0x3ff) == 0) reap_finished_tasks();
   }
   now_ = deadline;
-  reap_finished_tasks();
-}
-
-void EventLoop::run_before(Time end) {
-  if (end <= now_) return;
-  while (queue_.next_time() < end) {
-    step();
-    if ((executed_ & 0x3ff) == 0) reap_finished_tasks();
-  }
-  now_ = end;
   reap_finished_tasks();
 }
 

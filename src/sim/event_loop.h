@@ -19,7 +19,6 @@
 
 #include "sim/arena.h"
 #include "sim/callback.h"
-#include "sim/ownership.h"
 #include "sim/ready_queue.h"
 #include "sim/time.h"
 
@@ -50,15 +49,6 @@ class EventLoop {
   // Runs all events with timestamp <= deadline, then sets now() = deadline.
   void run_until(Time deadline);
 
-  // Runs all events with timestamp strictly < end, then sets now() = end.
-  // The partition engine's window primitive: events at exactly `end` belong
-  // to the next window (or to a barrier), so cross-partition deliveries at
-  // `end` scheduled after this returns still land in the future.
-  void run_before(Time end);
-
-  // Timestamp of the next pending event, or ReadyQueue::kMaxTime if none.
-  Time next_event_time() { return queue_.next_time(); }
-
   // Attaches a root coroutine. It starts running at the current time (the
   // first resume is scheduled as an event, not executed inline).
   void spawn(Task<void> task);
@@ -72,12 +62,6 @@ class EventLoop {
 
   // Number of events executed so far (useful for tests / budget checks).
   std::uint64_t events_executed() const { return executed_; }
-
-  // Timestamp of the last event actually executed. Unlike now(), this is
-  // not advanced by run_until()/run_before() deadlines, so a partitioned
-  // run can report when the simulation *ended* rather than where the last
-  // window boundary happened to fall.
-  Time last_event_time() const { return last_event_time_; }
 
   bool empty() const { return queue_.empty(); }
 
@@ -101,15 +85,6 @@ class EventLoop {
   // iteration order) into the event stream. Cost when disabled: one
   // branch per call.
   // ------------------------------------------------------------------
-  // ------------------------------------------------------------------
-  // Ownership auditing (src/check). When a probe is installed it observes
-  // every loop mutation — each schedule_at() and each executed event — so
-  // the partition-ownership auditor can verify the calling thread owns
-  // this loop's partition window. Probes observe only; they never
-  // schedule. Cost when unset: one branch per mutation.
-  // ------------------------------------------------------------------
-  void set_access_probe(LoopAccessProbe* probe) { probe_ = probe; }
-
   void enable_trace() { trace_enabled_ = true; }
   bool trace_enabled() const { return trace_enabled_; }
   void trace(std::uint64_t v) {
@@ -130,13 +105,11 @@ class EventLoop {
   ReadyQueue queue_;
   NodePool<EventNode> pool_;
   Time now_ = 0;
-  Time last_event_time_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
 
   std::uint64_t audit_every_ = 0;
   Callback audit_hook_;
-  LoopAccessProbe* probe_ = nullptr;
 
   bool trace_enabled_ = false;
   std::uint64_t trace_hash_ = 0xcbf29ce484222325ull;  // FNV offset basis

@@ -5,7 +5,7 @@
 namespace sim {
 
 namespace {
-MASQ_SHARED_STATE("set once by tool main() before any worker thread exists; plain reads thereafter")
+MASQ_SHARED_STATE("set once by tool main(); logging writes to stderr only and never feeds back into a run")
 LogLevel g_level = LogLevel::kWarn;
 const char* level_name(LogLevel l) {
   switch (l) {

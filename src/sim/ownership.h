@@ -1,71 +1,17 @@
-// Declared ownership model for shared mutable state (DESIGN.md §16).
+// Declared process-wide mutable state (DESIGN.md §16).
 //
-// The partition-parallel engine's safety claim is an *ownership* claim:
-// every piece of mutable state is either (a) owned by exactly one
-// partition and touched only by the thread running that partition's
-// window, (b) touched only by the single-threaded coordinator between
-// windows (at the barrier), or (c) deliberately shared, with its own
-// synchronization story. The three macros below make that claim explicit
-// at every namespace-scope global, function-local static, and mutable
-// static member in src/ — the places where state can silently escape the
-// per-partition object graphs.
+// The simulator is single-threaded, and a run owns its state through the
+// object graph rooted at its EventLoop. What can silently break run-to-run
+// determinism is state that lives outside any such graph: namespace-scope
+// globals, function-local statics, and mutable static data members. That
+// state outlives one simulation and carries into the next one in the same
+// process (one test binary runs hundreds).
 //
-// The macros expand to nothing: they are source-level annotations read by
-// the `shared-state` pass of tools/masq_lint.py, which (1) flags any
-// shared mutable object that carries none of them, (2) rejects a
-// MASQ_SHARED_STATE with an empty reason, and (3) cross-checks that
-// MASQ_BARRIER_ONLY symbols are never referenced from window-side code
-// (sim/event_loop machinery, fabric/scale_partition, rnic/, the masq/
-// hot paths). The runtime half of the same contract is the
-// "partition-ownership" auditor in src/check/ownership_audit.h, which
-// tags live objects with their owning partition and verifies every
-// access at MASQ_CHECK=1; the CI `tsan` job is the third, lowest-level
-// layer of the same proof.
-//
-//   MASQ_PARTITION_LOCAL   The object is per-partition (or per-thread by
-//                          construction): only the thread currently
-//                          running its partition's window may touch it.
-//   MASQ_BARRIER_ONLY      Coordinator-only: read or written exclusively
-//                          between windows, when no partition window is
-//                          open. Referencing such a symbol from
-//                          window-side code is a lint error.
-//   MASQ_SHARED_STATE(why) Genuinely cross-thread: the annotation must
-//                          say why that is safe (what lock, atomic, or
-//                          immutability argument protects it).
+// MASQ_SHARED_STATE(why) marks each such object. It expands to nothing; it
+// exists for the reader and for the `shared-state` pass of
+// tools/masq_lint.py, which flags every mutable global or static in src/
+// that lacks it and rejects an empty reason. The reason must say why the
+// state cannot change a run's results.
 #pragma once
 
-#include <cstddef>
-
-#define MASQ_PARTITION_LOCAL
-#define MASQ_BARRIER_ONLY
 #define MASQ_SHARED_STATE(reason)
-
-namespace sim {
-
-class EventLoop;
-
-// Observation seam for the partition-ownership auditor (src/check).
-// EventLoop invokes the probe — when one is installed — on every state
-// mutation (schedule, event execution); cost when unset is one branch.
-// The probe must only observe: scheduling events or mutating the loop
-// from inside a probe callback would perturb the trace the auditor
-// promises to leave byte-identical.
-class LoopAccessProbe {
- public:
-  virtual ~LoopAccessProbe() = default;
-  virtual void on_loop_access(const EventLoop& loop, const char* op) = 0;
-};
-
-// Window-lifecycle seam: PartitionGroup brackets every partition's window
-// with begin/end, called on the worker thread that runs the window (the
-// coordinator thread doubles as worker 0). Between a matched end and the
-// next begin of the same round — and between rounds — the group is in its
-// barrier phase.
-class WindowObserver {
- public:
-  virtual ~WindowObserver() = default;
-  virtual void on_window_begin(std::size_t partition) = 0;
-  virtual void on_window_end(std::size_t partition) = 0;
-};
-
-}  // namespace sim

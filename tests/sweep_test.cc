@@ -360,20 +360,4 @@ TEST(DegenerateSweepTest, HundredSeedsByteIdenticalReports) {
   }
 }
 
-TEST(DegenerateSweepTest, ByteIdenticalAcrossThreadCounts) {
-  // And the partitioned engine agrees at 1/2/4 workers: the traffic phase
-  // is a pure function of (config, schedule), whichever engine ran first.
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const std::string direct =
-        fabric::run_scale_storm(sweep_cfg(seed, 0)).json();
-    for (std::size_t threads : {1u, 2u, 4u}) {
-      const std::string degen =
-          fabric::run_scale_storm_parallel(sweep_cfg(seed, 1), threads)
-              .json();
-      EXPECT_EQ(direct, degen)
-          << "seed " << seed << " diverged at " << threads << " threads";
-    }
-  }
-}
-
 }  // namespace

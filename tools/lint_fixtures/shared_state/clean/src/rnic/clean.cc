@@ -2,7 +2,7 @@
 
 namespace rnic {
 
-MASQ_SHARED_STATE("guarded by the device registry mutex")
+MASQ_SHARED_STATE("a counter the tool prints at exit; no run reads it")
 int g_device_epoch = 0;
 
 }  // namespace rnic

@@ -7,10 +7,8 @@ Package layout:
                    reason is mandatory), Violation/Allowance records.
   rules.py         the per-line determinism rules (nodiscard, wall-clock,
                    unordered-iter, naked-new, container, event-callback).
-  shared_state.py  the ``shared-state`` ownership pass: builds a model of
-                   mutable state reachable from partition-window code and
-                   requires every shared mutable object to carry a
-                   MASQ_PARTITION_LOCAL / MASQ_BARRIER_ONLY /
+  shared_state.py  the ``shared-state`` pass: every mutable global or
+                   static in src/ outlives a run, so it must carry a
                    MASQ_SHARED_STATE(reason) annotation
                    (src/sim/ownership.h).
   cli.py           command line: --json, --list-allows, --root.

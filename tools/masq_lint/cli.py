@@ -21,7 +21,7 @@ from masq_lint.engine import RULES, lint, lint_report
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="masq_lint",
-        description="Structural determinism/ownership linter for src/",
+        description="Structural determinism linter for src/",
     )
     parser.add_argument(
         "--root",

@@ -26,6 +26,7 @@ PER_FILE_CHECKS = (
     rules.check_naked_new,
     rules.check_container,
     rules.check_event_callback,
+    shared_state.check_shared_state,
 )
 
 
@@ -59,7 +60,6 @@ def lint(root: str) -> tuple[list[Violation], list[Allowance]]:
                 check(src, violations)
 
     rules.check_unordered_iter(files_by_dir, violations)
-    shared_state.check_shared_state(files_by_dir, violations, root)
 
     violations.sort(key=lambda v: (v.path, v.lineno, v.rule))
     allowances.sort(key=lambda a: (a.path, a.lineno, a.rule))

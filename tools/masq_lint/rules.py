@@ -29,7 +29,7 @@
                   allocation and a copy per scheduled event — the exact
                   costs the arena/SBO refactor removed.
 
-The ``shared-state`` ownership pass lives in shared_state.py.
+The ``shared-state`` pass lives in shared_state.py.
 """
 
 from __future__ import annotations

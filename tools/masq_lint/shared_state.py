@@ -1,79 +1,43 @@
-"""The ``shared-state`` ownership pass (DESIGN.md §16).
+"""The ``shared-state`` pass (DESIGN.md §16).
 
-The partition-parallel engine (DESIGN.md §13) claims that partitions
-share no mutable state: a partition's objects are touched only by the
-thread running its window, and cross-partition effects flow only through
-the coordinator at the barrier. Object graphs rooted in a PartDriver or
-an EventLoop satisfy that by construction — what can silently break it is
-state that lives *outside* any per-partition graph: namespace-scope
-globals, function-local statics, and mutable static data members. One
-innocent-looking cache counter at file scope turns a proven-deterministic
-engine into a data race.
+The simulator is single-threaded and a run owns its state through the
+object graph rooted at its EventLoop. What can silently break run-to-run
+determinism is state that lives *outside* any such graph: namespace-scope
+globals, function-local statics, and mutable static data members. It
+outlives one simulation and carries into the next one in the same
+process — one innocent-looking counter at file scope makes a test's
+result depend on which tests ran before it.
 
-This pass builds, per translation unit, the set of such escape points:
+This pass finds, per translation unit, every such object:
 
   * mutable namespace-scope globals (the repo indents namespace contents
     at column 0, so namespace-scope declarations are exactly the
     column-0 declarations that are not functions/types/usings);
   * ``static`` locals and static data members (one detector: any
-    indented mutable non-function ``static`` declaration);
-  * ``thread_local`` objects are exempt — they are per-thread by
-    construction, which is the strongest ownership claim available.
+    indented mutable non-function ``static`` declaration).
 
-Every surviving shared mutable object must carry one of the annotation
-macros from src/sim/ownership.h on its declaration line or the line
-above:
-
-  MASQ_PARTITION_LOCAL    per-partition/per-thread by construction
-  MASQ_BARRIER_ONLY       coordinator-only, touched between windows
-  MASQ_SHARED_STATE(why)  genuinely shared; `why` names the lock/atomic/
-                          immutability argument and must be non-empty
-
-Cross-check: files are classified window-side (sim/event_loop machinery,
-fabric/scale_partition, rnic/, the masq/ hot paths — code that runs
-inside a partition's window) or coordinator-side. A MASQ_BARRIER_ONLY
-symbol referenced from a window-side file is a violation: barrier-only
-state is exactly the state a worker thread must never see.
+Each one must carry ``MASQ_SHARED_STATE(why)`` from src/sim/ownership.h
+on its declaration line or the line above, and ``why`` must be non-empty:
+it says why the state cannot change a run's results.
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 from masq_lint.source import SourceFile, Violation
 
 RULE = "shared-state"
 
-ANNOTATIONS = ("MASQ_PARTITION_LOCAL", "MASQ_BARRIER_ONLY",
-               "MASQ_SHARED_STATE")
-SHARED_STATE_RE = re.compile(r"MASQ_SHARED_STATE\s*\(\s*(.*?)\s*\)\s*$")
+ANNOTATION = "MASQ_SHARED_STATE"
 SHARED_STATE_ANY_RE = re.compile(r"MASQ_SHARED_STATE\s*\(")
 
-# Files whose code executes inside a partition window: the event-loop
-# machinery itself (an event runs on whichever worker owns its partition
-# this round), the partition-parallel storm engine, the RNIC data path,
-# and the masq hot paths that the per-VM workloads drive from window
-# events. Everything else is coordinator/control-side.
-WINDOW_SIDE_PATTERNS = (
-    "src/sim/event_loop.",
-    "src/sim/ready_queue.h",
-    "src/sim/callback.h",
-    "src/sim/arena.h",
-    "src/sim/task.h",
-    "src/fabric/scale_partition.",
-    "src/rnic/",
-    "src/masq/frontend.",
-    "src/masq/backend.",
-    "src/masq/rconntrack.",
-    "src/masq/warm_pool.",
-)
-
 # Leading tokens that say nothing about mutability.
-STORAGE_TOKENS = {"inline", "static", "constinit", "virtual", "friend"}
-# Leading tokens that make the object immutable (runtime-const data needs
-# no ownership annotation: concurrent reads of never-written state are
-# race-free).
+STORAGE_TOKENS = {"inline", "static", "thread_local", "constinit",
+                  "virtual", "friend"}
+# Leading tokens that make the object immutable (never-written state
+# cannot carry anything from one run into the next, so it needs no
+# annotation).
 IMMUTABLE_TOKENS = {"const", "constexpr", "consteval"}
 # Column-0 keywords that open constructs rather than declare objects.
 NON_DECL_KEYWORDS = {
@@ -88,11 +52,6 @@ NON_DECL_KEYWORDS = {
 
 WORD_RE = re.compile(r"[A-Za-z_]\w*")
 STATIC_LINE_RE = re.compile(r"^\s*(?:inline\s+)?static\b")
-
-
-def is_window_side(relpath: str) -> bool:
-    rel = relpath.replace(os.sep, "/")
-    return any(p in rel for p in WINDOW_SIDE_PATTERNS)
 
 
 def _blank_angles(decl: str) -> str:
@@ -115,11 +74,9 @@ def _blank_angles(decl: str) -> str:
 
 
 def _mutability(decl: str) -> str:
-    """'mutable' | 'immutable' | 'thread_local' | 'extern-decl',
-    judged from the declaration's leading tokens."""
+    """'mutable' | 'immutable' | 'extern-decl', judged from the
+    declaration's leading tokens."""
     for w in WORD_RE.findall(decl):
-        if w == "thread_local":
-            return "thread_local"
         if w == "extern":
             return "extern-decl"  # a reference, not the definition
         if w in STORAGE_TOKENS:
@@ -167,24 +124,18 @@ class SharedObject:
     """One flagged shared mutable object."""
 
     def __init__(self, path: str, lineno: int, name: str, kind: str,
-                 annotation: str | None):
+                 annotated: bool):
         self.path = path
         self.lineno = lineno
         self.name = name
         self.kind = kind  # "global" | "static"
-        self.annotation = annotation  # macro name or None
+        self.annotated = annotated
 
 
-def _find_annotation(src: SourceFile, first_line_idx: int) -> str | None:
-    """Annotation macro on the declaration's first line or the line above."""
-    candidates = [src.raw[first_line_idx]]
-    if first_line_idx > 0:
-        candidates.append(src.raw[first_line_idx - 1])
-    for text in candidates:
-        for macro in ANNOTATIONS:
-            if re.search(rf"\b{macro}\b", text):
-                return macro
-    return None
+def _annotated(src: SourceFile, first_line_idx: int) -> bool:
+    """MASQ_SHARED_STATE on the declaration's first line or the line above."""
+    lines = src.raw[max(0, first_line_idx - 1): first_line_idx + 1]
+    return any(re.search(rf"\b{ANNOTATION}\b", text) for text in lines)
 
 
 def _check_shared_state_reason(src: SourceFile,
@@ -220,7 +171,7 @@ def _check_shared_state_reason(src: SourceFile,
 
 
 def collect_shared_objects(src: SourceFile) -> list[SharedObject]:
-    """The file's model of mutable state reachable from window code."""
+    """Every mutable global or static the file declares."""
     objects: list[SharedObject] = []
     idx = 0
     nlines = len(src.code)
@@ -262,80 +213,22 @@ def collect_shared_objects(src: SourceFile) -> list[SharedObject]:
             continue
         objects.append(
             SharedObject(src.path, start + 1, name, kind,
-                         _find_annotation(src, start)))
+                         _annotated(src, start)))
     return objects
 
 
-def check_shared_state(files_by_dir: dict[str, list[SourceFile]],
-                       violations: list[Violation],
-                       root: str) -> None:
-    all_files: list[SourceFile] = []
-    for files in files_by_dir.values():
-        all_files.extend(files)
-
-    barrier_only: list[SharedObject] = []
-    for src in all_files:
-        _check_shared_state_reason(src, violations)
-        for obj in collect_shared_objects(src):
-            lineno = obj.lineno
-            if obj.annotation is None:
-                if src.is_allowed(RULE, lineno):
-                    continue
-                what = ("mutable namespace-scope global"
-                        if obj.kind == "global"
-                        else "mutable static (function-local or member)")
-                violations.append(
-                    Violation(
-                        src.path, lineno, RULE,
-                        f"{what} '{obj.name}' without an ownership "
-                        "annotation: mark it MASQ_PARTITION_LOCAL, "
-                        "MASQ_BARRIER_ONLY, or MASQ_SHARED_STATE(reason) "
-                        "(src/sim/ownership.h)",
-                    )
-                )
-                continue
-            if obj.annotation == "MASQ_BARRIER_ONLY":
-                barrier_only.append(obj)
-            if obj.annotation == "MASQ_PARTITION_LOCAL" and \
-                    obj.kind == "global" and "thread_local" not in " ".join(
-                        src.code[obj.lineno - 1: obj.lineno]):
-                # A namespace-scope global cannot be partition-local unless
-                # it is thread_local (then it would be exempt anyway).
-                violations.append(
-                    Violation(
-                        src.path, obj.lineno, RULE,
-                        f"global '{obj.name}' claims MASQ_PARTITION_LOCAL "
-                        "but has namespace scope: one instance is visible "
-                        "to every partition — use MASQ_SHARED_STATE with "
-                        "a reason, or make it per-partition state",
-                    )
-                )
-
-    # Cross-check: barrier-only symbols must never be referenced from
-    # window-side code (the declaration site itself is exempt).
-    if not barrier_only:
-        return
-    for src in all_files:
-        rel = os.path.relpath(src.path, root)
-        if not is_window_side(rel):
+def check_shared_state(src: SourceFile, violations: list[Violation]) -> None:
+    _check_shared_state_reason(src, violations)
+    for obj in collect_shared_objects(src):
+        if obj.annotated or src.is_allowed(RULE, obj.lineno):
             continue
-        for obj in barrier_only:
-            name_re = re.compile(rf"\b{re.escape(obj.name)}\b")
-            for idx, line in enumerate(src.code):
-                if not name_re.search(line):
-                    continue
-                if src.path == obj.path and idx + 1 == obj.lineno:
-                    continue
-                lineno = idx + 1
-                if src.is_allowed(RULE, lineno):
-                    continue
-                decl_rel = os.path.relpath(obj.path, root)
-                violations.append(
-                    Violation(
-                        src.path, lineno, RULE,
-                        f"window-side file references '{obj.name}' "
-                        f"({decl_rel}:{obj.lineno}), which is "
-                        "MASQ_BARRIER_ONLY: barrier-only state may only "
-                        "be touched by the coordinator between windows",
-                    )
-                )
+        what = ("mutable namespace-scope global" if obj.kind == "global"
+                else "mutable static (function-local or member)")
+        violations.append(
+            Violation(
+                src.path, obj.lineno, RULE,
+                f"{what} '{obj.name}' outlives a run: mark it "
+                "MASQ_SHARED_STATE(reason) (src/sim/ownership.h) or make "
+                "it per-run state",
+            )
+        )

@@ -52,11 +52,10 @@ EXPECT = {
     ("event_callback", "net_violating"): {"event-callback"},
     ("event_callback", "net_allowed"): set(),
     ("event_callback", "net_clean"): set(),
-    # Acceptance fixture: mutable global written from window-side code.
+    # Acceptance fixture: an unannotated mutable global.
     ("shared_state", "violating"): {"shared-state"},
     ("shared_state", "allowed"): set(),
     ("shared_state", "clean"): set(),
-    ("shared_state", "barrier_violating"): {"shared-state"},
     ("shared_state", "empty_reason_violating"): {"shared-state"},
     # A reasonless allowance fails allow-reason AND does not shield.
     ("allow_reason", "violating"): {"allow-reason", "naked-new"},

@@ -17,8 +17,6 @@
 //     --down-from <ms>      ... from this time ...      (default: 60)
 //     --down-until <ms>     ... until this time         (default: 110)
 //     --seed <n>          workload seed                 (default: 1)
-//     --threads <n>       partition-parallel engine on n worker threads
-//                         (default: single-loop engine; DESIGN.md §13)
 //     --trace             mix every event into the FNV-1a trace hash
 //     -o, --out <file>    report path (default: BENCH_scale.json)
 //     --smoke             small CI preset (4 hosts x 25 VMs)
@@ -56,11 +54,11 @@
 // every (config, seed) pair produces one event stream and one report —
 // two runs emit byte-identical BENCH_scale.json.
 //
-// The emitted JSON carries a trailing "perf" object (engine, sim_events,
-// trace_hash, threads, wall_ms, events_per_sec, peak_rss_kb). Every field
-// sits on its own line: the first three are deterministic, the rest are
+// The emitted JSON carries a trailing "perf" object (sim_events,
+// trace_hash, wall_ms, events_per_sec, peak_rss_kb). Every field sits on
+// its own line: the first two are deterministic, the rest are
 // wall-clock/host facts — determinism diffs strip them with
-//   grep -vE '"(threads|wall_ms|events_per_sec|peak_rss_kb)":'
+//   grep -vE '"(wall_ms|events_per_sec|peak_rss_kb)":'
 // as the CI perf-smoke job does.
 #include <sys/resource.h>
 
@@ -82,7 +80,7 @@ void usage(const char* argv0) {
       "          [--shards n] [--rtt us] [--service us] [--window us]\n"
       "          [--ip-changes n] [--rule-resets n]\n"
       "          [--down-shard i] [--down-from ms] [--down-until ms]\n"
-      "          [--seed n] [--threads n] [--trace] [-o file] [--smoke]\n"
+      "          [--seed n] [--trace] [-o file] [--smoke]\n"
       "          [--churn]\n"
       "          [--topology direct|leafspine] [--leaves n] [--spines n]\n"
       "          [--host-gbps g] [--spine-gbps g] [--pattern pairs|incast]\n"
@@ -106,7 +104,6 @@ int main(int argc, char** argv) {
   cfg.ip_changes = 200;
   cfg.rule_resets = 3;
   std::string out_path = "BENCH_scale.json";
-  std::size_t threads = 0;  // 0 = single-loop engine
   bool churn = false;
   // Shared base of the fabric presets (--incast/--mice/--overspine): 128
   // hosts on an 8-leaf/2-spine Clos with a cheap control-plane storm (the
@@ -174,9 +171,6 @@ int main(int argc, char** argv) {
       cfg.down_until = sim::milliseconds(std::atof(next()));
     } else if (a == "--seed") {
       cfg.seed = std::strtoull(next(), nullptr, 10);
-    } else if (a == "--threads") {
-      threads = next_zu();
-      if (threads == 0) threads = 1;
     } else if (a == "--trace") {
       cfg.trace = true;
     } else if (a == "-o" || a == "--out") {
@@ -294,9 +288,7 @@ int main(int argc, char** argv) {
               cfg.hosts * cfg.vms_per_host, cfg.shards,
               static_cast<unsigned long long>(cfg.seed));
   const auto wall0 = std::chrono::steady_clock::now();
-  const fabric::ScaleReport r =
-      threads > 0 ? fabric::run_scale_storm_parallel(cfg, threads)
-                  : fabric::run_scale_storm(cfg);
+  const fabric::ScaleReport r = fabric::run_scale_storm(cfg);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall0)
@@ -366,34 +358,30 @@ int main(int argc, char** argv) {
   const double events_per_sec =
       wall_ms > 0 ? static_cast<double>(r.sim_events) / (wall_ms / 1000.0)
                   : 0.0;
-  std::printf("perf: %s engine, %llu events in %.1f ms (%.0f events/s), "
+  std::printf("perf: %llu events in %.1f ms (%.0f events/s), "
               "peak RSS %ld KiB\n",
-              r.engine_threads > 0 ? "partitioned" : "single",
               static_cast<unsigned long long>(r.sim_events), wall_ms,
               events_per_sec, rss_kb);
 
   // Splice the perf object into the report JSON as its last key. The
   // report body stays byte-identical to ScaleReport::json(); volatile
-  // fields (threads, wall_ms, events_per_sec, peak_rss_kb) each sit on
+  // fields (wall_ms, events_per_sec, peak_rss_kb) each sit on
   // their own line so determinism diffs can strip them (see file comment).
   std::string json = r.json();
   char perf[512];
   std::snprintf(perf, sizeof(perf),
                 "  ],\n"
                 "  \"perf\": {\n"
-                "    \"engine\": \"%s\",\n"
                 "    \"sim_events\": %llu,\n"
                 "    \"trace_hash\": \"0x%016llx\",\n"
-                "    \"threads\": %zu,\n"
                 "    \"wall_ms\": %.3f,\n"
                 "    \"events_per_sec\": %.0f,\n"
                 "    \"peak_rss_kb\": %ld\n"
                 "  }\n"
                 "}\n",
-                r.engine_threads > 0 ? "partitioned" : "single",
                 static_cast<unsigned long long>(r.sim_events),
-                static_cast<unsigned long long>(r.trace_hash),
-                r.engine_threads, wall_ms, events_per_sec, rss_kb);
+                static_cast<unsigned long long>(r.trace_hash), wall_ms,
+                events_per_sec, rss_kb);
   const std::string tail = "  ]\n}\n";
   if (json.size() >= tail.size() &&
       json.compare(json.size() - tail.size(), tail.size(), tail) == 0) {
