@@ -7,9 +7,13 @@
 //   * a single-shard outage degrades only its partition: other shards see
 //     zero degraded serves and zero unreachable queries, and every
 //     connection attempt still reaches a terminal outcome,
-//   * the smoke storm's event stream (event count and FNV-1a trace hash)
-//     is pinned.
+//   * the event streams (event count and FNV-1a trace hash) of the smoke
+//     storm, the --churn --smoke storm (warm path) and the shard-outage
+//     storm (degraded path) are pinned.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <utility>
 
 #include "fabric/scale.h"
 
@@ -59,7 +63,10 @@ TEST(ScaleStormTest, PerShardQueueDepthBoundedByHostCount) {
   EXPECT_GT(r.agent_batched_keys, r.agent_batches);
 }
 
-TEST(ScaleStormTest, ShardOutageDegradesOnlyItsPartition) {
+// Shard 1 is dark for waves 2 and 3; wave 1 warmed the caches, so keys on
+// the downed shard are served stale-but-bounded (or bounce when the VM
+// never cached its peer).
+fabric::ScaleConfig storm_outage() {
   fabric::ScaleConfig cfg;
   cfg.tenants = 5;
   cfg.hosts = 8;
@@ -69,13 +76,14 @@ TEST(ScaleStormTest, ShardOutageDegradesOnlyItsPartition) {
   cfg.shards = 4;
   cfg.ip_changes = 20;
   cfg.rule_resets = 1;
-  // Shard 1 is dark for waves 2 and 3; wave 1 warmed the caches, so keys
-  // on the downed shard are served stale-but-bounded (or bounce when the
-  // VM never cached its peer).
   cfg.down_shard = 1;
   cfg.down_from = sim::milliseconds(45);
   cfg.down_until = sim::milliseconds(150);
-  const fabric::ScaleReport r = fabric::run_scale_storm(cfg);
+  return cfg;
+}
+
+TEST(ScaleStormTest, ShardOutageDegradesOnlyItsPartition) {
+  const fabric::ScaleReport r = fabric::run_scale_storm(storm_outage());
 
   // All attempts terminal, and the outage visibly bit.
   EXPECT_EQ(r.attempted, r.ok + r.degraded + r.unavailable + r.not_found);
@@ -130,6 +138,41 @@ TEST(ScaleStormTest, SmokeStormEventStreamIsPinned) {
   const fabric::ScaleReport untraced = fabric::run_scale_storm(cfg);
   EXPECT_EQ(untraced.json(), a.json());
   EXPECT_EQ(untraced.trace_hash, 0u);
+}
+
+// `masq_scaletest --churn --smoke`: the smoke topology with the warm path
+// on, 6 waves 10 ms apart and ~2 vBond IP changes per VM.
+fabric::ScaleConfig storm_churn_smoke() {
+  fabric::ScaleConfig cfg = storm_smoke();
+  cfg.warm = true;
+  cfg.waves = 6;
+  cfg.wave_gap = sim::milliseconds(10);
+  cfg.spread = sim::milliseconds(5);
+  cfg.ip_changes = 2 * cfg.hosts * cfg.vms_per_host;
+  cfg.rule_resets = 2;
+  return cfg;
+}
+
+// Runs `cfg` traced and returns (event count, trace hash).
+std::pair<std::uint64_t, std::uint64_t> traced_stream(fabric::ScaleConfig cfg) {
+  cfg.trace = true;
+  const fabric::ScaleReport r = fabric::run_scale_storm(cfg);
+  return {r.sim_events, r.trace_hash};
+}
+
+// The warm path (parked pairs, warm tokens, speculative prefill) and the
+// degraded path (stale serves, unreachable shard queries, buffered
+// broadcasts) each pin their own stream next to the smoke storm's.
+TEST(ScaleStormTest, ChurnSmokeEventStreamIsPinned) {
+  const auto [events, hash] = traced_stream(storm_churn_smoke());
+  EXPECT_EQ(events, 5334u);
+  EXPECT_EQ(hash, 0x028fbd2bc9f40270ull);
+}
+
+TEST(ScaleStormTest, ShardOutageEventStreamIsPinned) {
+  const auto [events, hash] = traced_stream(storm_outage());
+  EXPECT_EQ(events, 17627u);
+  EXPECT_EQ(hash, 0x3c314a96bfa2a5ffull);
 }
 
 TEST(ScaleStormTest, ReportEchoesTopologyAndSeed) {
