@@ -119,13 +119,30 @@ struct Driver {
                              pgid_of_host(host_of(vm)));
   }
 
+  // Runs `fn` at virtual time `when` through two plain callbacks taking
+  // the seqs that spawning a coroutine at t=0 and its opening
+  // `co_await delay(when)` took. The t=0 hop exists only to keep those
+  // pinned seqs; `when` <= 0 runs inline in it, as delay() did.
+  template <typename F>
+  void at(sim::Time when, F fn) {
+    loop.schedule_after(0, [this, when, fn]() mutable {
+      when <= 0 ? fn() : loop.schedule_after(when, std::move(fn));
+    });
+  }
+
+  // The connect coroutine is created only at its start time, so live
+  // frames follow the attempts in flight, not the whole schedule.
+  void launch(const storm::StormSchedule::Conn& c) {
+    at(c.start, [this, src = c.src, dst = c.dst] {
+      loop.spawn_inline(connect(this, src, dst));
+    });
+  }
+
   // One connection attempt from `src` to whatever vGID `dst` holds when
   // the attempt starts (a churned peer between scheduling and start is
   // resolved under its *new* identity — exactly what a retrying
   // application would see).
-  static sim::Task<void> connect(Driver* d, std::size_t src, std::size_t dst,
-                                 sim::Time start) {
-    co_await sim::delay(d->loop, start);
+  static sim::Task<void> connect(Driver* d, std::size_t src, std::size_t dst) {
     ++d->attempted;
     const sim::Time t0 = d->loop.now();
     const std::uint32_t dst_gen = d->gen[dst];
@@ -192,12 +209,10 @@ struct Driver {
   // vBond IP change: the VM drops its vGID and registers a fresh one. The
   // unregister broadcasts an invalidation into every host cache; the
   // register pushes the new binding.
-  static sim::Task<void> ip_change(Driver* d, std::size_t vm,
-                                   sim::Time when) {
-    co_await sim::delay(d->loop, when);
-    d->controller.unregister_vgid(d->vni_of(vm), d->gid_of(vm, d->gen[vm]));
-    ++d->gen[vm];
-    d->register_vm(vm);
+  void ip_change(std::size_t vm) {
+    controller.unregister_vgid(vni_of(vm), gid_of(vm, gen[vm]));
+    ++gen[vm];
+    register_vm(vm);
   }
 
   static sim::Task<void> shard_down(Driver* d, std::size_t shard,
@@ -220,18 +235,14 @@ ScaleReport run_scale_storm(const ScaleConfig& cfg) {
   // The whole schedule — peers, jitters, churn times — is drawn up front
   // from one seeded stream, in one deterministic order; nothing consumes
   // randomness while the loop runs, so the event stream cannot depend on
-  // interleaving. Spawn order matches the schedule's vector order exactly
+  // interleaving. Launch order matches the schedule's vector order exactly
   // (it is the same-timestamp tie-break).
   const storm::StormSchedule sched = storm::StormSchedule::draw(cfg);
-  for (const auto& c : sched.wave_conns) {
-    d.loop.spawn(Driver::connect(&d, c.src, c.dst, c.start));
-  }
+  for (const auto& c : sched.wave_conns) d.launch(c);
   for (const auto& ch : sched.ip_changes) {
-    d.loop.spawn(Driver::ip_change(&d, ch.vm, ch.when));
+    d.at(ch.when, [&d, vm = ch.vm] { d.ip_change(vm); });
   }
-  for (const auto& c : sched.reset_conns) {
-    d.loop.spawn(Driver::connect(&d, c.src, c.dst, c.start));
-  }
+  for (const auto& c : sched.reset_conns) d.launch(c);
   if (cfg.down_shard >= 0) {
     d.loop.spawn(Driver::shard_down(
         &d, static_cast<std::size_t>(cfg.down_shard) % cfg.shards,
@@ -290,10 +301,14 @@ ScaleReport run_scale_storm(const ScaleConfig& cfg) {
       sr.degraded_serves += agent->cache().degraded_serves(s);
     }
   }
-  r.sim_events = d.loop.events_executed();
+  // Fabric traffic phase: a pure function of (config, schedule) on its own
+  // loop, counted into sim_events and folded into the trace hash.
+  if (cfg.traffic.enabled) {
+    r.traffic = run_traffic_phase(cfg, sched);
+    d.loop.trace(r.traffic.trace_hash);
+  }
+  r.sim_events = d.loop.events_executed() + r.traffic.sim_events;
   r.trace_hash = cfg.trace ? d.loop.trace_hash() : 0;
-  // Fabric traffic phase: a pure function of (config, schedule).
-  if (cfg.traffic.enabled) r.traffic = run_traffic_phase(cfg, sched);
   return r;
 }
 

@@ -89,10 +89,13 @@ struct TrafficReport {
   double peak_spine_util = 0;   // max leaf<->spine utilization sampled
   double peak_tenant_gbps = 0;  // max per-tenant aggregate rate sampled
   // NOT serialized (differs between direct and degenerate-fabric runs the
-  // equivalence sweep byte-diffs): echoed topology shape.
+  // equivalence sweep byte-diffs): echoed topology shape, and the phase
+  // loop's executed events and trace hash (0 unless cfg.trace was set).
   std::size_t hosts = 0;
   std::size_t leaves = 0;
   std::size_t spines = 0;
+  std::uint64_t sim_events = 0;
+  std::uint64_t trace_hash = 0;
 };
 
 struct ScaleConfig {
@@ -224,8 +227,9 @@ struct ScaleReport {
 
   // ---- engine observability, NOT serialized by json() ----
   // Deterministic, but kept out of the report JSON (the scaletest tool
-  // prints them in its "perf" block).
-  std::uint64_t sim_events = 0;  // storm events executed
+  // prints them in its "perf" block). Both cover the traffic phase too,
+  // when it ran: its events add in, its trace hash folds in.
+  std::uint64_t sim_events = 0;  // events executed
   std::uint64_t trace_hash = 0;  // FNV fold; 0 unless cfg.trace was set
 
   // Fixed field order, fixed formatting, no timestamps — two identical

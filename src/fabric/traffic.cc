@@ -83,6 +83,7 @@ TrafficReport run_traffic_phase(const ScaleConfig& cfg,
   r.spines = tc.spines;
 
   TrafficDriver d;
+  if (cfg.trace) d.loop.enable_trace();
   d.tx.reserve(cfg.hosts);
   d.rx.reserve(cfg.hosts);
   for (std::size_t h = 0; h < cfg.hosts; ++h) {
@@ -198,6 +199,8 @@ TrafficReport run_traffic_phase(const ScaleConfig& cfg,
   }
 
   d.loop.run();
+  r.sim_events = d.loop.events_executed();
+  r.trace_hash = cfg.trace ? d.loop.trace_hash() : 0;
 
   if (!d.fct_us.empty()) {
     r.fct_p50_us = d.fct_us.percentile(50.0);

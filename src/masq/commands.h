@@ -106,10 +106,10 @@ struct Response {
   rnic::Status status = rnic::Status::kOk;
   std::uint64_t v0 = 0;  // pd / lkey / cqn / qpn, depending on the command
   std::uint64_t v1 = 0;
-  rnic::QpAttr attr;     // CmdQueryQp only
+  rnic::QpAttr attr{};   // CmdQueryQp only
   // CmdBatch only: one Response per batch entry, in submission order.
   // status above is kOk iff every entry succeeded (first error otherwise).
-  std::vector<Response> batch;
+  std::vector<Response> batch{};
 };
 
 // What actually crosses the virtqueue: the command plus a frontend-chosen

@@ -131,7 +131,7 @@ struct QpInitAttr {
 // *physical* — the gap RConnrename closes.
 struct QpAttr {
   QpState state = QpState::kReset;
-  net::Gid dest_gid;
+  net::Gid dest_gid{};
   Qpn dest_qpn = 0;
   std::uint32_t path_mtu = 1024;
   std::uint32_t rq_psn = 0;

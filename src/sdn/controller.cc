@@ -309,26 +309,27 @@ sim::Task<MappingCache::Resolution> MappingCache::resolve_ex(
   auto fit = inflight_.find(key);
   if (fit != inflight_.end()) {
     ++coalesced_;
-    auto future = fit->second;  // copy: the leader erases the map entry
+    if (!fit->second) fit->second.emplace(loop_);
+    auto future = fit->second->get_future();
     co_return co_await future;
   }
   ++misses_;
-  sim::Promise<Resolution> leader(loop_);
-  inflight_.emplace(key, leader.get_future());
+  inflight_.emplace(key);
   poisoned_.erase(key);
   Controller::QueryReply reply;
   try {
     // Plain if/else, not a conditional expression: GCC mis-lowers
     // `cond ? co_await a : co_await b`.
-    if (query_fn_) {
-      reply = co_await query_fn_(vni, vgid);
+    if (batcher_ != nullptr) {
+      reply = co_await ParkedMiss{key, batcher_};
     } else {
       reply = co_await controller_.query_ex(vni, vgid);
     }
   } catch (...) {
+    auto followers = std::move(inflight_.at(key));
     inflight_.erase(key);
     poisoned_.erase(key);
-    leader.set_exception(std::current_exception());
+    if (followers) followers->set_exception(std::current_exception());
     throw;
   }
   Resolution result;
@@ -354,8 +355,9 @@ sim::Task<MappingCache::Resolution> MappingCache::resolve_ex(
       }
     }
   }
+  auto followers = std::move(inflight_.at(key));
   inflight_.erase(key);
-  leader.set_value(result);
+  if (followers) followers->set_value(result);
   co_return result;
 }
 

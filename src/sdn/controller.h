@@ -26,7 +26,9 @@
 // control-plane database itself stays authoritative throughout.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -305,15 +307,39 @@ class MappingCache {
   void insert(std::uint32_t vni, net::Gid vgid, net::Gid pgid);
   void invalidate(std::uint32_t vni, net::Gid vgid);
 
-  // Miss-path override (HostAgent tier): when set, leader misses go
-  // through `fn` instead of Controller::query_ex — the agent batches
-  // same-shard leaders onto one controller round trip. The hook must
-  // preserve query_ex semantics (terminal reply, unreachable flag set
-  // only when the key's shard did not answer).
-  using QueryFn =
-      std::function<sim::Task<Controller::QueryReply>(std::uint32_t,
-                                                      net::Gid)>;
-  void set_query_fn(QueryFn fn) { query_fn_ = std::move(fn); }
+  // Miss-path override (HostAgent tier): when set, a leader miss suspends
+  // on a ParkedMiss that the batcher holds, instead of calling
+  // Controller::query_ex, so the agent can batch same-shard leaders onto
+  // one controller round trip. The ParkedMiss lives in the suspended
+  // resolve_ex frame; the batcher fills `reply` (or `error`), then resumes
+  // `waiter` with schedule_after(0). The reply must keep query_ex
+  // semantics (terminal, unreachable set only when the shard was down).
+  struct ParkedMiss;
+  class MissBatcher {
+   public:
+    virtual void park(ParkedMiss* miss) = 0;
+
+   protected:
+    ~MissBatcher() = default;
+  };
+  struct ParkedMiss {
+    VirtKey key;
+    MissBatcher* batcher = nullptr;
+    std::coroutine_handle<> waiter{};
+    Controller::QueryReply reply{};
+    std::exception_ptr error{};
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      waiter = h;
+      batcher->park(this);
+    }
+    Controller::QueryReply await_resume() const {
+      if (error) std::rethrow_exception(error);
+      return reply;
+    }
+  };
+  void set_miss_batcher(MissBatcher* batcher) { batcher_ = batcher; }
 
   // Fault plane: consulted with the key hash before a cached entry is
   // served; returning true evicts the entry first (models expiry or
@@ -380,13 +406,15 @@ class MappingCache {
   sim::Time staleness_bound_;
   Controller::SubId push_sub_ = 0;
   Controller::SubId invalidate_sub_ = 0;
-  QueryFn query_fn_;
+  MissBatcher* batcher_ = nullptr;
   std::function<bool(std::uint64_t)> fault_probe_;
   sim::FlatMap<VirtKey, Entry, VirtKeyHash> cache_;
   // Key -> expiry time of the "known absent" verdict.
   sim::FlatMap<VirtKey, sim::Time, VirtKeyHash> negative_;
-  // One leader query per key; followers await the leader's future.
-  sim::FlatMap<VirtKey, sim::Future<Resolution>, VirtKeyHash> inflight_;
+  // One leader query per key. The promise the followers await is created
+  // by the first follower, so a leader nobody joins allocates nothing.
+  sim::FlatMap<VirtKey, std::optional<sim::Promise<Resolution>>, VirtKeyHash>
+      inflight_;
   // Keys invalidated while their leader query was in flight: the stale
   // result must not be installed when the leader returns.
   sim::FlatSet<VirtKey, VirtKeyHash> poisoned_;

@@ -19,11 +19,7 @@ HostAgent::HostAgent(sim::EventLoop& loop, Controller& controller,
   // Zero window = pass-through: leave the cache's miss path pointed
   // straight at Controller::query_ex so the event trace is identical to a
   // cache with no agent in front of it.
-  if (config_.batch_window > 0) {
-    cache_.set_query_fn([this](std::uint32_t vni, net::Gid vgid) {
-      return batched_query(vni, vgid);
-    });
-  }
+  if (config_.batch_window > 0) cache_.set_miss_batcher(this);
   if (config_.speculative_prefill) {
     // Warm path (DESIGN.md §14): every register_vgid broadcast is planted
     // straight into the cache — VM boot resolves the peer before the first
@@ -42,7 +38,7 @@ HostAgent::~HostAgent() {
   // Unhook the cache first (it outlives this dtor body as a member) and
   // kill the liveness token so scheduled flushes stand down.
   if (prefill_subscribed_) controller_.unsubscribe(prefill_sub_);
-  cache_.set_query_fn(nullptr);
+  cache_.set_miss_batcher(nullptr);
   liveness_.reset();
 }
 
@@ -52,13 +48,10 @@ std::size_t HostAgent::max_lane_depth() const {
   return m;
 }
 
-sim::Task<Controller::QueryReply> HostAgent::batched_query(std::uint32_t vni,
-                                                           net::Gid vgid) {
-  const std::size_t shard = controller_.shard_of(vni, vgid);
+void HostAgent::park(MappingCache::ParkedMiss* miss) {
+  const std::size_t shard = controller_.shard_of(miss->key.vni, miss->key.vgid);
   Lane& lane = *lanes_[shard];
-  sim::Promise<Controller::QueryReply> promise(loop_);
-  auto fut = promise.get_future();
-  lane.pending.push_back(Pending{VirtKey{vni, vgid}, std::move(promise)});
+  lane.pending.push_back(miss);
   lane.max_depth = std::max(lane.max_depth, lane.pending.size());
   if (!lane.flush_active) {
     // One flush owner per lane: arrivals during the window (or during a
@@ -74,11 +67,17 @@ sim::Task<Controller::QueryReply> HostAgent::batched_query(std::uint32_t vni,
           loop.spawn(flush_lane(self, shard, std::move(alive)));
         });
   }
-  co_return co_await fut;
 }
 
 sim::Task<void> HostAgent::flush_lane(HostAgent* self, std::size_t shard,
                                       std::weak_ptr<const char> alive) {
+  // The loop outlives the agent; the parked frames belong to its roots.
+  sim::EventLoop& loop = self->loop_;
+  // Resumes a parked miss one zero-delay event later, as a Promise wake
+  // would.
+  auto wake = [&loop](MappingCache::ParkedMiss* m) {
+    loop.schedule_after(0, [h = m->waiter] { h.resume(); });
+  };
   while (true) {
     if (alive.expired()) co_return;
     Lane& lane = *self->lanes_[shard];
@@ -90,15 +89,12 @@ sim::Task<void> HostAgent::flush_lane(HostAgent* self, std::size_t shard,
     }
     const std::size_t n =
         std::min(lane.pending.size(), self->config_.max_batch);
-    std::vector<Pending> chunk;
-    chunk.reserve(n);
-    std::move(lane.pending.begin(), lane.pending.begin() + n,
-              std::back_inserter(chunk));
-    lane.pending.erase(lane.pending.begin(),
-                       lane.pending.begin() + static_cast<std::ptrdiff_t>(n));
+    const auto split = lane.pending.begin() + static_cast<std::ptrdiff_t>(n);
+    std::vector<MappingCache::ParkedMiss*> chunk(lane.pending.begin(), split);
+    lane.pending.erase(lane.pending.begin(), split);
     std::vector<VirtKey> keys;
     keys.reserve(n);
-    for (const Pending& p : chunk) keys.push_back(p.key);
+    for (const MappingCache::ParkedMiss* m : chunk) keys.push_back(m->key);
     ++lane.batches;
     ++self->batches_;
     self->batched_keys_ += n;
@@ -109,12 +105,16 @@ sim::Task<void> HostAgent::flush_lane(HostAgent* self, std::size_t shard,
     } catch (...) {
       // Propagate to every leader riding this batch; the cache's leader
       // path forwards the exception to its followers.
-      for (Pending& p : chunk) p.reply.set_exception(std::current_exception());
+      for (MappingCache::ParkedMiss* m : chunk) {
+        m->error = std::current_exception();
+        wake(m);
+      }
       failed = true;
     }
     if (!failed) {
       for (std::size_t i = 0; i < chunk.size(); ++i) {
-        chunk[i].reply.set_value(replies[i]);
+        chunk[i]->reply = replies[i];
+        wake(chunk[i]);
       }
     }
     // Loop: keys that arrived while the batch was on the wire are flushed

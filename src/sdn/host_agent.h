@@ -48,7 +48,7 @@ struct HostAgentConfig {
   bool speculative_prefill = false;
 };
 
-class HostAgent {
+class HostAgent : private MappingCache::MissBatcher {
  public:
   HostAgent(sim::EventLoop& loop, Controller& controller,
             HostAgentConfig config = {});
@@ -88,12 +88,9 @@ class HostAgent {
   std::size_t max_lane_depth() const;
 
  private:
-  struct Pending {
-    VirtKey key;
-    sim::Promise<Controller::QueryReply> reply;
-  };
   struct Lane {
-    std::vector<Pending> pending;
+    // Leader misses parked in their resolve_ex frames, in arrival order.
+    std::vector<MappingCache::ParkedMiss*> pending;
     // One flush (scheduled or draining) at a time; also what bounds the
     // shard's service-queue depth to one entry per host.
     bool flush_active = false;
@@ -101,12 +98,12 @@ class HostAgent {
     std::size_t max_depth = 0;
   };
 
-  // The MappingCache::QueryFn hook: parks the leader miss in its shard's
-  // lane and wakes the lane's flusher.
-  sim::Task<Controller::QueryReply> batched_query(std::uint32_t vni,
-                                                  net::Gid vgid);
+  // MappingCache::MissBatcher: parks the leader miss in its shard's lane
+  // and wakes the lane's flusher.
+  void park(MappingCache::ParkedMiss* miss) override;
   // Drains one lane: repeated (chunk, query_batch, distribute) until the
-  // lane is empty. Spawned detached; guarded by the liveness token.
+  // lane is empty; each parked miss gets its reply and a zero-delay
+  // resume. Spawned detached; guarded by the liveness token.
   static sim::Task<void> flush_lane(HostAgent* self, std::size_t shard,
                                     std::weak_ptr<const char> alive);
 

@@ -28,7 +28,7 @@ void EventLoop::schedule_at(Time t, Callback cb) {
   n->t = t;
   n->seq = seq_++;
   n->cb = std::move(cb);
-  queue_.push(n);
+  queue_.push(n, now_);
 }
 
 void EventLoop::schedule_after(Time delay, Callback cb) {
@@ -74,13 +74,23 @@ void EventLoop::run_until(Time deadline) {
   reap_finished_tasks();
 }
 
-void EventLoop::spawn(Task<void> task) {
-  if (!task.valid() || task.done()) return;
+void* EventLoop::adopt_root(Task<void> task) {
+  if (!task.valid() || task.done()) return nullptr;
   RootHandle handle = task.release();
   handle.promise().root_owner = this;
   handle.promise().root_index = roots_.size();
   roots_.push_back(handle.address());
-  schedule_after(0, [handle] { handle.resume(); });
+  return handle.address();
+}
+
+void EventLoop::spawn(Task<void> task) {
+  if (void* addr = adopt_root(std::move(task))) {
+    schedule_after(0, [handle = root_handle(addr)] { handle.resume(); });
+  }
+}
+
+void EventLoop::spawn_inline(Task<void> task) {
+  if (void* addr = adopt_root(std::move(task))) root_handle(addr).resume();
 }
 
 void EventLoop::reap_finished_tasks() {

@@ -6,11 +6,12 @@
 // the loop and exceptions escaping a root task are rethrown from run().
 //
 // Hot-path machinery (DESIGN.md §13): events are arena-allocated nodes
-// (sim::NodePool) ordered by a bucketed timer wheel (sim::ReadyQueue), and
-// callbacks are small-buffer-optimized sim::Callback — no malloc and no
-// std::function copy per scheduled event. The (time, seq) discipline, and
-// therefore every event trace and golden number, is unchanged from the
-// priority-queue implementation this replaced.
+// (sim::NodePool) ordered by a zero-delay FIFO lane in front of a two-level
+// timer wheel (sim::ReadyQueue), and callbacks are small-buffer-optimized
+// sim::Callback — no malloc and no std::function copy per scheduled event.
+// The (time, seq) discipline, and therefore every event trace and golden
+// number, is unchanged from the priority-queue implementation this
+// replaced.
 #pragma once
 
 #include <coroutine>
@@ -52,6 +53,11 @@ class EventLoop {
   // Attaches a root coroutine. It starts running at the current time (the
   // first resume is scheduled as an event, not executed inline).
   void spawn(Task<void> task);
+  // Attaches a root coroutine and runs it inline up to its first
+  // suspension, scheduling nothing: for callers already running as the
+  // event the coroutine should start in. An exception it throws surfaces
+  // from run(), as for spawn().
+  void spawn_inline(Task<void> task);
 
   // Called by the final awaiter of a root task (see detail::PromiseBase):
   // records the frame for the next reap cycle so reaping is O(#finished),
@@ -96,6 +102,7 @@ class EventLoop {
   // Pops and runs the next event. Precondition: !queue_.empty().
   void step();
   void reap_finished_tasks();
+  void* adopt_root(Task<void> task);  // frame address, or null if done
 
   void mix_trace(std::uint64_t v) {
     // FNV-1a over the 8 value bytes, folded in one multiply per word.

@@ -2,28 +2,38 @@
 //
 // Replaces std::priority_queue<Event> (a binary heap of ~72-byte elements
 // whose std::function had to be *copied* out of a const top()). The queue
-// orders arena-allocated EventNode pointers by (time, seq) — exactly the
-// discipline the old heap enforced, so event traces are bit-identical —
-// but organizes them as a two-level timer wheel:
+// orders arena-allocated EventNode pointers by (time, seq), exactly the
+// old heap's discipline. (time, seq) keys are unique, so any structure
+// that always pops the minimum pops the identical stream; the parts below
+// only change what a push or a pop costs:
 //
-//   ring      kBuckets buckets of kBucketWidth ns each (~1 ms horizon).
+//   lane      events at exactly the loop's current time (promise wakes,
+//             spawns, zero-delay hops). They arrive in seq order and the
+//             clock cannot pass them, so the lane is an already-sorted
+//             FIFO, linked through the nodes' pool_next: O(1) both ways.
+//   level 0   kBuckets buckets of kBucketWidth ns each (~1 ms horizon).
 //             A push inside the horizon is an O(1) vector append keyed by
 //             (t >> kBucketShift); the hot delays (cache hits 2 us, batch
 //             windows 5 us, service budgets 1 us, RTTs 100 us) all land
 //             here. A bucket becomes the *current* bucket lazily: its
 //             events are heapified into `cur_` (24-byte entries, binary
 //             heap) only when the cursor reaches it.
-//   overflow  a (time, seq) binary heap for events beyond the horizon
-//             (wave schedules, outage windows). When the ring drains, the
-//             queue rebases: the horizon jumps to the earliest overflow
-//             event and everything now inside it is redistributed into
-//             buckets.
+//   level 1   kBuckets slots one level-0 horizon wide (~268 ms): wave
+//             schedules, connection starts. When level 0 drains it is
+//             realigned to the next nonempty slot, whose events are spread
+//             into its buckets.
+//   overflow  a (time, seq) binary heap beyond level 1. When both levels
+//             drain, level 1 rebases onto the earliest overflow event.
 //
 // Invariants that keep popping in strict (time, seq) order:
-//   * every overflow event is >= base_ + horizon, so the ring always holds
-//     the global minimum while it is nonempty;
-//   * pushes at or before the current bucket's window join `cur_` directly
-//     (schedule_at clamps t >= now, so nothing lands before the cursor).
+//   * level 0 is level-1 slot cursor1_; every wheel event outside `cur_`
+//     lies at or after the current bucket window, later slots hold only
+//     events past level 0 and the heap only events past level 1, so
+//     `cur_` holds the wheel's minimum whenever it is nonempty;
+//   * pushes before the end of the current bucket window join `cur_`
+//     (the wheel may have been settled past the clock);
+//   * lane events sit at the clock, so a wheel event can precede the lane
+//     head only by tying it in time with a smaller seq.
 #pragma once
 
 #include <cassert>
@@ -40,7 +50,7 @@ struct EventNode {
   Time t = 0;
   std::uint64_t seq = 0;
   Callback cb;
-  EventNode* pool_next = nullptr;  // NodePool free-list linkage
+  EventNode* pool_next = nullptr;  // NodePool free list, or the lane
 };
 
 class ReadyQueue {
@@ -48,56 +58,50 @@ class ReadyQueue {
   static constexpr int kBucketShift = 12;  // 4096 ns per bucket
   static constexpr std::size_t kBuckets = 256;
   static constexpr Time kBucketWidth = Time{1} << kBucketShift;
-  static constexpr Time kHorizon = kBucketWidth * static_cast<Time>(kBuckets);
+  static constexpr int kHorizonShift = kBucketShift + 8;  // 256 buckets
+  static constexpr Time kHorizon = Time{1} << kHorizonShift;  // level 0
+  static constexpr Time kSpan = kHorizon * static_cast<Time>(kBuckets);
 
-  ReadyQueue() : ring_(kBuckets) {}
+  ReadyQueue() : ring_(kBuckets), slots_(kBuckets) {}
   ReadyQueue(const ReadyQueue&) = delete;
   ReadyQueue& operator=(const ReadyQueue&) = delete;
 
   bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
 
-  void push(EventNode* n) {
+  // Queues `n`; `now` is the loop's clock (n->t >= now). An event at the
+  // clock joins the lane, a later one the wheel.
+  void push(EventNode* n, Time now) {
     ++size_;
-    const Time t = n->t;
-    if (t >= base_ + kHorizon) {
-      heap_push(overflow_, Entry{t, n->seq, n});
+    if (n->t != now) {
+      place(n);
       return;
     }
-    if (t < base_) {
-      // run_until() can advance now_ into a window the wheel has already
-      // rebased past; such pushes are earlier than every parked event and
-      // simply compete in the live heap.
-      heap_push(cur_, Entry{t, n->seq, n});
-      return;
-    }
-    const std::size_t idx =
-        static_cast<std::size_t>((t - base_) >> kBucketShift);
-    if (idx <= cursor_) {
-      // The current bucket window (or, after run_until advanced now_ past
-      // it, an already-drained window): compete in the live heap.
-      heap_push(cur_, Entry{t, n->seq, n});
-      return;
-    }
-    ring_[idx].push_back(n);
-    ++ring_count_;
+    n->pool_next = nullptr;
+    (lane_tail_ != nullptr ? lane_tail_->pool_next : lane_head_) = n;
+    lane_tail_ = n;
   }
 
   // Smallest (time, seq) event time, or kMaxTime when empty. Settles the
   // wheel (advances the cursor / rebases) but never reorders.
   Time next_time() {
-    if (!settle()) return kMaxTime;
-    return cur_.front().t;
+    if (lane_first()) return lane_head_->t;
+    return settle() ? cur_.front().t : kMaxTime;
   }
 
   // Pops the (time, seq)-minimum event. Precondition: !empty().
   EventNode* pop() {
+    --size_;
+    if (lane_first()) {
+      EventNode* n = lane_head_;
+      lane_head_ = n->pool_next;
+      if (lane_head_ == nullptr) lane_tail_ = nullptr;
+      return n;
+    }
     const bool ok = settle();
     assert(ok);
     (void)ok;
     EventNode* n = cur_.front().node;
     heap_pop(cur_);
-    --size_;
     return n;
   }
 
@@ -116,7 +120,42 @@ class ReadyQueue {
     }
   };
 
-  // Ensures cur_ holds the global minimum. Returns false if empty.
+  Time cursor_end() const {  // end of the current bucket window
+    return base_ + static_cast<Time>(cursor_ + 1) * kBucketWidth;
+  }
+
+  void place(EventNode* n) {  // files a wheel event
+    const Time t = n->t;
+    if (t < cursor_end()) {
+      heap_push(cur_, Entry{t, n->seq, n});
+    } else if (t < base_ + kHorizon) {
+      ring_[static_cast<std::size_t>((t - base_) >> kBucketShift)].push_back(
+          n);
+      ++ring_count_;
+    } else if (t < base1_ + kSpan) {
+      slots_[static_cast<std::size_t>((t - base1_) >> kHorizonShift)]
+          .push_back(n);
+      ++slot_count_;
+    } else {
+      heap_push(overflow_, Entry{t, n->seq, n});
+    }
+  }
+
+  // True if the lane head precedes every wheel event. A head inside the
+  // current bucket window wins without settling: advancing the wheel early
+  // would push what the lane's callbacks schedule next into the live heap.
+  bool lane_first() {
+    if (lane_head_ == nullptr) return false;
+    if (cur_.empty() && (lane_head_->t < cursor_end() || !settle())) {
+      return true;
+    }
+    const Entry& w = cur_.front();
+    return lane_head_->t < w.t ||
+           (lane_head_->t == w.t && lane_head_->seq < w.seq);
+  }
+
+  // Ensures cur_ holds the wheel's minimum. Returns false if the wheel is
+  // empty.
   bool settle() {
     while (cur_.empty()) {
       if (ring_count_ > 0) {
@@ -125,10 +164,15 @@ class ReadyQueue {
         while (ring_[idx].empty()) ++idx;  // ring_count_ > 0 guarantees hit
         cursor_ = idx;
         adopt_bucket(idx);
-        continue;
+      } else if (slot_count_ > 0) {
+        std::size_t k = cursor1_ + 1;
+        while (slots_[k].empty()) ++k;  // slot_count_ > 0 guarantees hit
+        descend(k);
+      } else if (!overflow_.empty()) {
+        rebase();
+      } else {
+        return false;
       }
-      if (overflow_.empty()) return false;
-      rebase();
     }
     return true;
   }
@@ -143,27 +187,31 @@ class ReadyQueue {
     for (std::size_t i = cur_.size() / 2; i-- > 0;) sift_down(cur_, i);
   }
 
-  // Ring fully drained: jump the horizon to the earliest overflow event
-  // and pull everything inside the new horizon back into buckets.
-  void rebase() {
-    assert(ring_count_ == 0 && cur_.empty() && !overflow_.empty());
-    const Time min_t = overflow_.front().t;
-    base_ = (min_t >> kBucketShift) << kBucketShift;
+  // Level 0 drained: realign it to level-1 slot k and spread the slot's
+  // events into it, releasing the slot's storage (reused only after a
+  // rebase).
+  void descend(std::size_t k) {
+    cursor1_ = k;
+    base_ = base1_ + static_cast<Time>(k) * kHorizon;
     cursor_ = 0;
-    const Time limit = base_ + kHorizon;
-    while (!overflow_.empty() && overflow_.front().t < limit) {
-      Entry e = overflow_.front();
+    std::vector<EventNode*> slot;
+    slot.swap(slots_[k]);
+    slot_count_ -= slot.size();
+    for (EventNode* n : slot) place(n);
+  }
+
+  // Both levels drained: move level 1 to the earliest overflow event.
+  void rebase() {
+    assert(ring_count_ == 0 && slot_count_ == 0 && cur_.empty());
+    base1_ = (overflow_.front().t >> kHorizonShift) << kHorizonShift;
+    cursor1_ = 0;
+    base_ = base1_;
+    cursor_ = 0;
+    while (!overflow_.empty() && overflow_.front().t < base1_ + kSpan) {
+      EventNode* n = overflow_.front().node;
       heap_pop(overflow_);
-      const std::size_t idx =
-          static_cast<std::size_t>((e.t - base_) >> kBucketShift);
-      if (idx == 0) {
-        cur_.push_back(e);  // heapified below
-      } else {
-        ring_[idx].push_back(e.node);
-        ++ring_count_;
-      }
+      place(n);
     }
-    for (std::size_t i = cur_.size() / 2; i-- > 0;) sift_down(cur_, i);
   }
 
   // ---- small binary-heap helpers over vectors of Entry ----
@@ -200,12 +248,18 @@ class ReadyQueue {
     if (!h.empty()) sift_down(h, 0);
   }
 
-  std::vector<std::vector<EventNode*>> ring_;
+  EventNode* lane_head_ = nullptr;  // zero-delay FIFO, (t, seq)-sorted
+  EventNode* lane_tail_ = nullptr;
+  std::vector<std::vector<EventNode*>> ring_;   // level 0
+  std::vector<std::vector<EventNode*>> slots_;  // level 1
   std::vector<Entry> cur_;       // current bucket, (t, seq) min-heap
-  std::vector<Entry> overflow_;  // beyond the horizon, (t, seq) min-heap
-  Time base_ = 0;                // ring start (bucket-aligned)
+  std::vector<Entry> overflow_;  // beyond level 1, (t, seq) min-heap
+  Time base_ = 0;                // level-0 start (slot cursor1_ of level 1)
+  Time base1_ = 0;               // level-1 start (horizon-aligned)
   std::size_t cursor_ = 0;       // current bucket index
+  std::size_t cursor1_ = 0;      // level-1 slot that level 0 covers
   std::size_t ring_count_ = 0;   // events parked in ring_ (excluding cur_)
+  std::size_t slot_count_ = 0;   // events parked in slots_
   std::size_t size_ = 0;
 };
 

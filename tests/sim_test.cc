@@ -2,7 +2,14 @@
 // stats accumulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <queue>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_loop.h"
@@ -81,6 +88,212 @@ TEST(EventLoopTest, PastEventsClampToNow) {
   loop.schedule_at(10_us, [&] { fired = loop.now(); });
   loop.run();
   EXPECT_EQ(fired, 100_us);
+}
+
+// ---- event-queue property test -------------------------------------------
+//
+// The ready queue's zero-delay lane, two wheel levels and overflow heap must
+// pop exactly the stream a plain priority queue on (time, insertion index)
+// pops. Each seed runs one random program through sim::EventLoop and through
+// a std::priority_queue reference with the loop's clamping rules. Events
+// schedule children at delays of 0, inside one bucket, inside the level-0
+// horizon, inside the level-1 span, beyond it and in the past; absolute
+// times on a coarse grid make distinct events tie; run_until deadlines
+// interleave with pushes from outside any event.
+
+constexpr sim::Time kBucket = sim::ReadyQueue::kBucketWidth;
+constexpr sim::Time kHorizon = sim::ReadyQueue::kHorizon;
+constexpr sim::Time kSpan = sim::ReadyQueue::kSpan;
+constexpr int kMaxEvents = 3000;  // per seed
+
+using Trace = std::vector<std::pair<int, sim::Time>>;  // (event id, now)
+
+sim::Time random_delay(sim::Rng& rng) {
+  switch (rng.next_below(6)) {
+    case 0:
+      return 0;
+    case 1:
+      return rng.next_range(1, kBucket - 1);
+    case 2:
+      return rng.next_range(kBucket, kHorizon - 1);
+    case 3:
+      return rng.next_range(kHorizon, kSpan - 1);
+    case 4:
+      return rng.next_range(kSpan, 3 * kSpan);
+    default:
+      return -rng.next_range(1, kHorizon);  // clamps to now
+  }
+}
+
+// A grid time over the first ~16 ms; often in the past (clamped to now).
+sim::Time random_grid_time(sim::Rng& rng) {
+  return static_cast<sim::Time>(rng.next_below(64)) * (kHorizon / 4);
+}
+
+template <typename S>
+void schedule_random(S& s, sim::Rng& rng) {
+  const int id = s.next_id++;
+  if (rng.next_bool(0.25)) {
+    s.at(random_grid_time(rng), id);
+  } else {
+    s.after(random_delay(rng), id);
+  }
+}
+
+// Event `id` logs (id, now) and schedules 0-2 children from a stream keyed
+// by its id, so both loops run the same program whatever order they run
+// it in.
+template <typename S>
+void fire(S& s, int id) {
+  s.trace.emplace_back(id, s.now());
+  sim::Rng rng(s.seed * 1'000'003 + static_cast<std::uint64_t>(id));
+  const std::uint64_t children = rng.next_below(3);
+  for (std::uint64_t i = 0; i < children && s.next_id < kMaxEvents; ++i) {
+    schedule_random(s, rng);
+  }
+}
+
+struct LoopSched {
+  explicit LoopSched(std::uint64_t sd) : seed(sd) {}
+  sim::EventLoop loop;
+  std::uint64_t seed;
+  int next_id = 0;
+  Trace trace;
+
+  sim::Time now() const { return loop.now(); }
+  void at(sim::Time t, int id) {
+    loop.schedule_at(t, [this, id] { fire(*this, id); });
+  }
+  void after(sim::Time d, int id) {
+    loop.schedule_after(d, [this, id] { fire(*this, id); });
+  }
+  void run_until(sim::Time t) { loop.run_until(t); }
+  void run() { loop.run(); }
+};
+
+struct ReferenceSched {
+  struct Event {
+    sim::Time t;
+    std::uint64_t seq;
+    int id;
+    bool operator>(const Event& o) const {
+      return std::tie(t, seq) > std::tie(o.t, o.seq);
+    }
+  };
+  explicit ReferenceSched(std::uint64_t sd) : seed(sd) {}
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+  sim::Time clock = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t seed;
+  int next_id = 0;
+  Trace trace;
+
+  sim::Time now() const { return clock; }
+  void at(sim::Time t, int id) { queue.push({std::max(t, clock), seq++, id}); }
+  void after(sim::Time d, int id) { at(clock + std::max<sim::Time>(d, 0), id); }
+  void step() {
+    const Event e = queue.top();
+    queue.pop();
+    clock = e.t;
+    fire(*this, e.id);
+  }
+  void run_until(sim::Time t) {
+    if (t < clock) return;
+    while (!queue.empty() && queue.top().t <= t) step();
+    clock = t;
+  }
+  void run() {
+    while (!queue.empty()) step();
+  }
+};
+
+template <typename S>
+void drive(S& s) {
+  sim::Rng rng(s.seed);
+  for (int i = 0; i < 64; ++i) schedule_random(s, rng);
+  for (int round = 0; round < 12; ++round) {
+    // Deadlines on the grid or relative to the clock: some exactly at
+    // event times, some behind the clock (a no-op).
+    s.run_until(rng.next_bool(0.5) ? random_grid_time(rng)
+                                   : s.now() + random_delay(rng));
+    for (int i = 0; i < 8; ++i) schedule_random(s, rng);
+  }
+  s.run();
+}
+
+TEST(EventLoopPropertyTest, PopsThePriorityQueueStreamOverHundredSeeds) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    LoopSched real(seed);
+    ReferenceSched ref(seed);
+    drive(real);
+    drive(ref);
+    ASSERT_GT(ref.trace.size(), 160u) << "seed " << seed;
+    const auto [a, b] = std::mismatch(real.trace.begin(), real.trace.end(),
+                                      ref.trace.begin(), ref.trace.end());
+    ASSERT_TRUE(a == real.trace.end() && b == ref.trace.end())
+        << "seed " << seed << ": streams diverge at event #"
+        << (a - real.trace.begin()) << " of " << ref.trace.size();
+    EXPECT_EQ(real.now(), ref.now()) << "seed " << seed;
+    EXPECT_EQ(real.loop.events_executed(), ref.trace.size());
+  }
+}
+
+// ---- inline-start spawn ----------------------------------------------------
+
+sim::Task<void> two_steps(sim::EventLoop& loop, int* steps,
+                          sim::Time* started) {
+  *started = loop.now();
+  ++*steps;
+  co_await sim::delay(loop, 5_us);
+  ++*steps;
+}
+
+TEST(EventLoopTest, SpawnInlineStartsWithoutAnEvent) {
+  sim::EventLoop loop;
+  int steps = 0;
+  sim::Time started = -1;
+  loop.spawn_inline(two_steps(loop, &steps, &started));
+  EXPECT_EQ(steps, 1);  // ran to its first suspension already
+  EXPECT_EQ(loop.events_executed(), 0u);
+  loop.run();
+  EXPECT_EQ(steps, 2);
+  EXPECT_EQ(loop.events_executed(), 1u);  // only the delay's resume
+
+  // Started from inside an event, it runs as part of that event.
+  loop.schedule_after(10_us, [&] {
+    loop.spawn_inline(two_steps(loop, &steps, &started));
+  });
+  loop.run();
+  EXPECT_EQ(steps, 4);
+  EXPECT_EQ(started, 15_us);
+  EXPECT_EQ(loop.events_executed(), 3u);
+}
+
+sim::Task<void> throws_at_once() {
+  throw std::runtime_error("before the first suspension");
+  co_return;
+}
+
+TEST(EventLoopTest, SpawnInlineThrowSurfacesFromRun) {
+  sim::EventLoop loop;
+  loop.spawn_inline(throws_at_once());
+  EXPECT_THROW(loop.run(), std::runtime_error);
+}
+
+sim::Task<void> holds_token(std::shared_ptr<int> token, sim::EventLoop& loop,
+                            sim::Time d) {
+  (void)token;
+  if (d > 0) co_await sim::delay(loop, d);
+}
+
+TEST(EventLoopTest, SpawnInlineFrameIsReaped) {
+  sim::EventLoop loop;
+  auto token = std::make_shared<int>(0);
+  loop.spawn_inline(holds_token(token, loop, 1_us));  // suspends
+  loop.spawn_inline(holds_token(token, loop, 0));     // finishes inline
+  EXPECT_EQ(token.use_count(), 3);  // both frames alive until reaped
+  loop.run();
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 sim::Task<int> add_after(sim::EventLoop& loop, sim::Time d, int a, int b) {

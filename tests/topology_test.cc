@@ -270,6 +270,46 @@ TEST(TrafficPhaseTest, EcmpPlacementStableAcrossReruns) {
   EXPECT_NE(json.find("\"topology\""), std::string::npos);
 }
 
+// `masq_scaletest --mice`, shrunk to `flows` replayed flows.
+fabric::ScaleConfig mice_cfg(std::size_t flows) {
+  fabric::ScaleConfig cfg;
+  cfg.hosts = 128;
+  cfg.vms_per_host = 4;
+  cfg.tenants = 16;
+  cfg.waves = 2;
+  cfg.ip_changes = 32;
+  cfg.rule_resets = 1;
+  cfg.trace = true;
+  cfg.traffic.enabled = true;
+  cfg.traffic.leaves = 8;
+  cfg.traffic.spines = 2;
+  cfg.traffic.tenant_gbps = 5.0;
+  cfg.traffic.flows = flows;
+  cfg.traffic.flow_kb = 16;
+  cfg.traffic.elephant_every = 8;
+  cfg.traffic.elephant_kb = 2048;
+  return cfg;
+}
+
+// perf.sim_events counts the traffic-phase loop and the trace hash folds
+// the phase's hash in; a storm without traffic keeps its own count.
+TEST(TrafficPhaseTest, SimEventsCountTheTrafficLoop) {
+  fabric::ScaleConfig off = mice_cfg(64);
+  off.traffic.enabled = false;
+  const fabric::ScaleReport storm = fabric::run_scale_storm(off);
+  EXPECT_EQ(storm.traffic.sim_events, 0u);
+  std::uint64_t prev = 0;
+  for (const std::size_t flows : {64, 128}) {
+    const fabric::ScaleReport r = fabric::run_scale_storm(mice_cfg(flows));
+    EXPECT_GT(r.traffic.sim_events, prev) << flows << " flows";
+    EXPECT_EQ(r.sim_events, storm.sim_events + r.traffic.sim_events);
+    EXPECT_NE(r.traffic.trace_hash, 0u);
+    EXPECT_EQ(r.trace_hash,
+              (storm.trace_hash ^ r.traffic.trace_hash) * 0x100000001b3ull);
+    prev = r.traffic.sim_events;
+  }
+}
+
 TEST(TrafficPhaseTest, TenantRateLimitHoldsUnderIncast) {
   // Fig. 12 semantics on the fabric: with per-tenant limiter links in every
   // path, no tenant's aggregate ever exceeds its cap — even while the
