@@ -193,7 +193,7 @@ inline void* frame_alloc(std::size_t size) {
 #endif
 }
 
-inline void frame_free(void* p, std::size_t size) {
+inline void frame_free(void* p, [[maybe_unused]] std::size_t size) {
 #if defined(MASQ_ARENA_PASSTHROUGH)
   ::operator delete(p);
 #else
