@@ -69,7 +69,7 @@ int main() {
   header();
   {
     auto cfg = base_cfg();
-    cfg.traffic.leaves = 0;  // direct mode: NIC links only
+    cfg.traffic.leaves = 1;  // one leaf: NIC links only
     row("direct wire", run(cfg));
   }
   row("leafspine 8x2 @40G", run(base_cfg()));

@@ -86,7 +86,7 @@ int main() {
   // link*, not a private wire — the isolation claims must survive real
   // fabric sharing. A full-rate spine reproduces the paper's direct-wire
   // numbers exactly (the max-min bottleneck just moves one hop in).
-  cfg.topology = bench::cross_leaf_fabric(2, 1, 40.0, 40.0);
+  cfg.topology = bench::cross_leaf_fabric(2, 1, 40.0);
   fabric::Testbed bed(loop, cfg);
   // Tenant A (vni 100): instances 0,1. Tenant B (vni 200): instances 2,3.
   (void)bed.add_instance(100);

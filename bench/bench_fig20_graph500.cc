@@ -62,11 +62,11 @@ int main() {
               "-----------------");
   struct Variant {
     const char* name;
-    std::optional<net::FabricConfig> topo;
+    net::FabricConfig topo;
   } variants[] = {
-      {"direct wire", std::nullopt},
-      {"8 leaves x 2 @40G", bench::cross_leaf_fabric(8, 2, 40.0, 40.0)},
-      {"8 leaves x 1 @10G", bench::cross_leaf_fabric(8, 1, 40.0, 10.0)},
+      {"direct wire", {}},
+      {"8 leaves x 2 @40G", bench::cross_leaf_fabric(8, 2, 40.0)},
+      {"8 leaves x 1 @10G", bench::cross_leaf_fabric(8, 1, 10.0)},
   };
   for (const auto& v : variants) {
     bench::BedOptions opts;

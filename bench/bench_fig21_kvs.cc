@@ -42,11 +42,11 @@ int main() {
   bench::title("Fig. 21 (fabric)", "MasQ KVS across a leaf-spine fabric");
   struct Variant {
     const char* name;
-    std::optional<net::FabricConfig> topo;
+    net::FabricConfig topo;
   } variants[] = {
-      {"direct", std::nullopt},
-      {"2x2@40G", bench::cross_leaf_fabric(2, 2, 40.0, 40.0)},
-      {"2x1@10G", bench::cross_leaf_fabric(2, 1, 40.0, 10.0)},
+      {"direct", {}},
+      {"2x2@40G", bench::cross_leaf_fabric(2, 2, 40.0)},
+      {"2x1@10G", bench::cross_leaf_fabric(2, 1, 10.0)},
   };
   std::printf("%-10s", "fabric");
   for (int n : clients) std::printf(" %7d", n);

@@ -57,11 +57,11 @@ int main() {
               "--------------------------------------------------");
   struct Variant {
     const char* name;
-    std::optional<net::FabricConfig> topo;
+    net::FabricConfig topo;
   } variants[] = {
-      {"direct", std::nullopt},
-      {"2x2@40G", bench::cross_leaf_fabric(2, 2, 40.0, 40.0)},
-      {"2x1@10G", bench::cross_leaf_fabric(2, 1, 40.0, 10.0)},
+      {"direct", {}},
+      {"2x2@40G", bench::cross_leaf_fabric(2, 2, 40.0)},
+      {"2x1@10G", bench::cross_leaf_fabric(2, 1, 10.0)},
   };
   for (const auto& v : variants) {
     bench::BedOptions opts;

@@ -8,7 +8,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "fabric/testbed.h"
@@ -35,23 +34,20 @@ struct BedOptions {
   // Warm-path connection pool (DESIGN.md §14); MasQ only, off by default
   // so every other figure keeps the cold-path golden numbers bit-exact.
   masq::WarmPoolConfig masq_warm;
-  // Leaf–spine fabric under the hosts (DESIGN.md §17). Unset = the legacy
-  // direct wire, keeping every golden number bit-exact.
-  std::optional<net::FabricConfig> topology;
+  // Leaf–spine fabric under the hosts (DESIGN.md §17). The default single
+  // leaf is the paper's direct wire.
+  net::FabricConfig topology;
 };
 
 // One host per leaf, so any two testbed hosts talk across the spine tier —
 // the smallest fabric that puts inter-instance traffic on shared spine
-// links (spine_gbps < host_gbps models an oversubscribed core).
+// links (spine_gbps below the 40 Gbps NIC models an oversubscribed core).
 inline net::FabricConfig cross_leaf_fabric(std::size_t hosts,
                                            std::size_t spines,
-                                           double host_gbps,
                                            double spine_gbps) {
   net::FabricConfig fc;
-  fc.hosts = hosts;
   fc.leaves = hosts;
   fc.spines = spines;
-  fc.host_gbps = host_gbps;
   fc.spine_gbps = spine_gbps;
   return fc;
 }

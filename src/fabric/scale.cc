@@ -349,10 +349,8 @@ std::string ScaleReport::json() const {
          u64(warm_prefills));
   }
   // Fabric traffic phase: emitted only when it ran, so traffic-off reports
-  // byte-match the legacy schema. Topology shape (hosts/leaves/spines) is
-  // deliberately NOT serialized — the equivalence sweep byte-diffs a
-  // degenerate 1-leaf fabric against direct mode, and only the measured
-  // outcomes are required to coincide.
+  // byte-match the legacy schema. The topology shape (hosts/leaves/spines)
+  // stays out: serializing it would change the pinned report bytes.
   if (traffic.enabled) {
     emit("  \"topology\": {\"flows\": %llu, \"bytes\": %llu, "
          "\"elapsed_ms\": %.3f, \"agg_gbps\": %.3f,\n",

@@ -34,13 +34,12 @@ namespace fabric {
 // its own event loop after the storm.
 struct TrafficConfig {
   bool enabled = false;
-  // Topology. leaves == 0 selects direct mode: flows cross only the two
-  // per-host NIC links — the legacy 2-server wire generalized to H hosts —
-  // which is what the degenerate-equivalence sweep diffs a 1-leaf fabric
-  // against.
-  std::size_t leaves = 0;
+  // Topology (net::FabricTopology; leaves are clamped to the host count).
+  // A host's NIC links are its links to its leaf, so one leaf is the
+  // paper's 2-server wire generalized to H hosts.
+  std::size_t leaves = 1;
   std::size_t spines = 1;
-  double host_gbps = 25.0;   // NIC and host<->leaf link capacity
+  double host_gbps = 25.0;   // NIC link capacity
   double spine_gbps = 40.0;  // leaf<->spine link capacity
   // Workload: the first `flows` wave connections become data flows.
   //   pairs  — src/dst hosts straight from the schedule;
@@ -88,9 +87,10 @@ struct TrafficReport {
   std::uint64_t throttled_flows = 0;    // flows that took >= 1 mark
   double peak_spine_util = 0;   // max leaf<->spine utilization sampled
   double peak_tenant_gbps = 0;  // max per-tenant aggregate rate sampled
-  // NOT serialized (differs between direct and degenerate-fabric runs the
-  // equivalence sweep byte-diffs): echoed topology shape, and the phase
-  // loop's executed events and trace hash (0 unless cfg.trace was set).
+  // NOT serialized, because adding them to the "topology" block would
+  // change report bytes that tests and CI pin: the effective topology
+  // shape, and the phase loop's executed events and trace hash (0 unless
+  // cfg.trace was set).
   std::size_t hosts = 0;
   std::size_t leaves = 0;
   std::size_t spines = 0;

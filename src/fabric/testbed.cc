@@ -83,11 +83,8 @@ Testbed::Testbed(sim::EventLoop& loop, TestbedConfig config)
     vf_in_use_.push_back(0);
   }
 
-  if (config_.topology.has_value()) {
-    net::FabricConfig fc = *config_.topology;
-    fc.hosts = static_cast<std::size_t>(config_.num_hosts);
-    fabric_ = std::make_unique<net::FabricTopology>(fluid_, fc);
-  }
+  fabric_ = std::make_unique<net::FabricTopology>(fluid_, hosts_.size(),
+                                                   config_.topology);
 
   if (config_.check_invariants) {
     checks_ = std::make_unique<check::InvariantRegistry>(loop_);
@@ -151,7 +148,6 @@ std::vector<net::LinkId> Testbed::fabric_path(net::Ipv4Addr src_ip,
                                               net::Ipv4Addr dst_ip,
                                               rnic::Qpn src_qpn,
                                               rnic::Qpn dst_qpn) {
-  if (fabric_ == nullptr) return {};
   const auto src = host_of_ip_.find(src_ip);
   const auto dst = host_of_ip_.find(dst_ip);
   if (src == host_of_ip_.end() || dst == host_of_ip_.end()) return {};

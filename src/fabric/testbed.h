@@ -84,12 +84,11 @@ struct TestbedConfig {
   // branch per event.
   bool check_invariants = check::env_enabled();
   std::uint64_t check_audit_every = 512;
-  // Leaf–spine Clos fabric between the hosts (DESIGN.md §17). Unset by
-  // default: frames cross only the two NIC links — the legacy direct-link
-  // wire — and every golden number stays bit-exact. When set, `hosts` is
-  // overridden with num_hosts and every inter-host frame additionally
-  // crosses the FabricTopology path chosen by ECMP over its QPN 5-tuple.
-  std::optional<net::FabricConfig> topology;
+  // Leaf–spine Clos fabric between the hosts (DESIGN.md §17). Each host's
+  // NIC links are its links to its leaf, so the default single leaf is the
+  // paper's direct wire. With more leaves, every inter-leaf frame also
+  // crosses the leaf->spine->leaf hops ECMP picks over its QPN 5-tuple.
+  net::FabricConfig topology;
 };
 
 class Testbed : public rnic::FabricRouter {
@@ -174,13 +173,12 @@ class Testbed : public rnic::FabricRouter {
 
   // rnic::FabricRouter: route underlay IPs to devices.
   rnic::RnicDevice* device_by_ip(net::Ipv4Addr underlay_ip) override;
-  // rnic::FabricRouter: leaf/spine hops between two hosts (empty without a
-  // configured topology, keeping the direct-link event stream bit-exact).
+  // rnic::FabricRouter: leaf/spine hops between two hosts (empty inside
+  // one leaf).
   std::vector<net::LinkId> fabric_path(net::Ipv4Addr src_ip,
                                        net::Ipv4Addr dst_ip, rnic::Qpn src_qpn,
                                        rnic::Qpn dst_qpn) override;
-  // Null unless config.topology was set.
-  net::FabricTopology* topology() { return fabric_.get(); }
+  net::FabricTopology& topology() { return *fabric_; }
 
  private:
   struct Instance {
@@ -215,7 +213,8 @@ class Testbed : public rnic::FabricRouter {
   std::vector<std::unique_ptr<Instance>> instances_;
   sim::FlatMap<net::Ipv4Addr, rnic::RnicDevice*> by_underlay_ip_;
   sim::FlatMap<net::Ipv4Addr, std::size_t> host_of_ip_;
-  std::unique_ptr<net::FabricTopology> fabric_;  // null: direct-link wire
+  // Built after every NIC link, so the NIC links keep the low LinkIds.
+  std::unique_ptr<net::FabricTopology> fabric_;
   sim::FlatMap<std::uint32_t, std::uint32_t> vip_counter_;  // per vni
   std::vector<int> vf_in_use_;  // per host (SR-IOV assignment)
   masq::MigrationReport last_migration_report_;

@@ -48,15 +48,12 @@ struct TrafficDriver {
   // completion (allocations only change at flow events, so completions see
   // every distinct allocation that follows one).
   void sample() {
-    if (topo != nullptr) {
-      const auto& fc = topo->config();
-      for (std::size_t s = 0; s < fc.spines; ++s) {
-        for (net::LinkId l : topo->spine_links(s)) {
-          const double cap = net.link_capacity_gbps(l);
-          if (cap <= 0) continue;  // outage: nothing flows, skip the ratio
-          peak_spine_util =
-              std::max(peak_spine_util, net.link_load_gbps(l) / cap);
-        }
+    for (std::size_t s = 0; s < topo->config().spines; ++s) {
+      for (net::LinkId l : topo->spine_links(s)) {
+        const double cap = net.link_capacity_gbps(l);
+        if (cap <= 0) continue;  // outage: nothing flows, skip the ratio
+        peak_spine_util =
+            std::max(peak_spine_util, net.link_load_gbps(l) / cap);
       }
     }
     if (!tenant_link.empty()) {
@@ -76,12 +73,6 @@ struct TrafficDriver {
 TrafficReport run_traffic_phase(const ScaleConfig& cfg,
                                 const storm::StormSchedule& sched) {
   const TrafficConfig& tc = cfg.traffic;
-  TrafficReport r;
-  r.enabled = true;
-  r.hosts = cfg.hosts;
-  r.leaves = tc.leaves;
-  r.spines = tc.spines;
-
   TrafficDriver d;
   if (cfg.trace) d.loop.enable_trace();
   d.tx.reserve(cfg.hosts);
@@ -90,15 +81,16 @@ TrafficReport run_traffic_phase(const ScaleConfig& cfg,
     d.tx.push_back(d.net.add_link(tc.host_gbps, 0));
     d.rx.push_back(d.net.add_link(tc.host_gbps, 0));
   }
-  if (tc.leaves > 0) {
-    net::FabricConfig fc;
-    fc.hosts = cfg.hosts;
-    fc.leaves = tc.leaves;
-    fc.spines = tc.spines;
-    fc.host_gbps = tc.host_gbps;
-    fc.spine_gbps = tc.spine_gbps;
-    d.topo = std::make_unique<net::FabricTopology>(d.net, fc);
-  }
+  d.topo = std::make_unique<net::FabricTopology>(
+      d.net, cfg.hosts,
+      net::FabricConfig{.leaves = tc.leaves,
+                        .spines = tc.spines,
+                        .spine_gbps = tc.spine_gbps});
+  TrafficReport r;
+  r.enabled = true;
+  r.hosts = cfg.hosts;
+  r.leaves = d.topo->config().leaves;
+  r.spines = d.topo->config().spines;
   if (tc.tenant_gbps > 0) {
     d.tenant_link.reserve(cfg.tenants);
     for (std::size_t t = 0; t < cfg.tenants; ++t) {
@@ -144,19 +136,17 @@ TrafficReport run_traffic_phase(const ScaleConfig& cfg,
     key.src_ip = static_cast<std::uint32_t>(c.src);
     key.dst_ip = static_cast<std::uint32_t>(c.dst);
     key.src_port = static_cast<std::uint16_t>(i);
-    std::uint64_t spine_token = 0;  // intra-leaf / direct: no spine
+    std::uint64_t spine_token = 0;  // intra-leaf: no spine
+    const std::vector<net::LinkId> hops =
+        d.topo->path(f.src_host, f.dst_host, key);
+    if (!hops.empty()) {
+      spine_token = 1 + d.topo->spine_for(key);
+      ++r.spine_crossings;
+    }
     std::vector<net::LinkId>& path = paths[i];
     if (!d.tenant_link.empty()) path.push_back(d.tenant_link[f.tenant]);
     path.push_back(d.tx[f.src_host]);
-    if (d.topo != nullptr && f.src_host != f.dst_host) {
-      if (d.topo->leaf_of(f.src_host) != d.topo->leaf_of(f.dst_host)) {
-        spine_token = 1 + d.topo->spine_for(key);
-        ++r.spine_crossings;
-      }
-      for (net::LinkId l : d.topo->path(f.src_host, f.dst_host, key)) {
-        path.push_back(l);
-      }
-    }
+    path.insert(path.end(), hops.begin(), hops.end());
     path.push_back(d.rx[f.dst_host]);
     // ECMP placement fold: (index, spine choice) pairs, FNV-1a style.
     fold = (fold ^ i) * kFnvPrime;
@@ -183,7 +173,7 @@ TrafficReport run_traffic_phase(const ScaleConfig& cfg,
     });
   }
 
-  if (tc.fail_spine >= 0 && d.topo != nullptr) {
+  if (tc.fail_spine >= 0) {
     const std::size_t spine =
         static_cast<std::size_t>(tc.fail_spine) % tc.spines;
     d.loop.schedule_at(tc.fail_from, [&d, spine] {

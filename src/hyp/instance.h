@@ -34,8 +34,8 @@ class Vm {
     std::uint64_t qemu_overhead_bytes = 100ull << 20;
     int vcpus = 1;
     std::uint32_t vni = 0;           // tenant id
-    net::Ipv4Addr vip;               // virtual IP of the vEth
-    net::MacAddr mac;
+    net::Ipv4Addr vip{};             // virtual IP of the vEth
+    net::MacAddr mac{};
     // CPU-bound work runs this much slower than on the host (VM exit /
     // scheduling overheads). Anchor: Fig. 23 — FlatMap stage slower on
     // MasQ/SR-IOV (VMs) than Host-RDMA/FreeFlow (host/container).

@@ -20,29 +20,20 @@ std::uint64_t ecmp_hash(const EcmpKey& key) {
   return h;
 }
 
-FabricTopology::FabricTopology(FluidNet& net, FabricConfig cfg)
-    : net_(net), cfg_(cfg) {
-  if (cfg_.hosts == 0 || cfg_.leaves == 0 || cfg_.spines == 0) {
+FabricTopology::FabricTopology(FluidNet& net, std::size_t hosts,
+                               FabricConfig cfg)
+    : cfg_(cfg), hosts_(hosts) {
+  if (hosts_ == 0 || cfg_.leaves == 0 || cfg_.spines == 0) {
     throw std::invalid_argument("FabricTopology: empty tier");
   }
-  if (cfg_.leaves > cfg_.hosts) cfg_.leaves = cfg_.hosts;
-  hosts_per_leaf_ = (cfg_.hosts + cfg_.leaves - 1) / cfg_.leaves;
-  up_.reserve(cfg_.hosts);
-  down_.reserve(cfg_.hosts);
-  for (std::size_t h = 0; h < cfg_.hosts; ++h) {
-    up_.push_back(net_.add_link(cfg_.host_gbps, cfg_.link_delay));
-    down_.push_back(net_.add_link(cfg_.host_gbps, cfg_.link_delay));
-    all_.push_back(up_.back());
-    all_.push_back(down_.back());
-  }
+  if (cfg_.leaves > hosts_) cfg_.leaves = hosts_;
+  hosts_per_leaf_ = (hosts_ + cfg_.leaves - 1) / cfg_.leaves;
   ls_.reserve(cfg_.leaves * cfg_.spines);
   sl_.reserve(cfg_.leaves * cfg_.spines);
   for (std::size_t l = 0; l < cfg_.leaves; ++l) {
     for (std::size_t s = 0; s < cfg_.spines; ++s) {
-      ls_.push_back(net_.add_link(cfg_.spine_gbps, cfg_.link_delay));
-      sl_.push_back(net_.add_link(cfg_.spine_gbps, cfg_.link_delay));
-      all_.push_back(ls_.back());
-      all_.push_back(sl_.back());
+      ls_.push_back(net.add_link(cfg_.spine_gbps, 0));
+      sl_.push_back(net.add_link(cfg_.spine_gbps, 0));
     }
   }
 }
@@ -50,21 +41,14 @@ FabricTopology::FabricTopology(FluidNet& net, FabricConfig cfg)
 std::vector<LinkId> FabricTopology::path(std::size_t src_host,
                                          std::size_t dst_host,
                                          const EcmpKey& key) const {
-  std::vector<LinkId> out;
-  if (src_host == dst_host) return out;
-  if (src_host >= cfg_.hosts || dst_host >= cfg_.hosts) {
+  if (src_host >= hosts_ || dst_host >= hosts_) {
     throw std::out_of_range("FabricTopology::path: host out of range");
   }
   const std::size_t src_leaf = leaf_of(src_host);
   const std::size_t dst_leaf = leaf_of(dst_host);
-  out.push_back(up_[src_host]);
-  if (src_leaf != dst_leaf) {
-    const std::size_t spine = spine_for(key);
-    out.push_back(leaf_to_spine(src_leaf, spine));
-    out.push_back(spine_to_leaf(spine, dst_leaf));
-  }
-  out.push_back(down_[dst_host]);
-  return out;
+  if (src_leaf == dst_leaf) return {};
+  const std::size_t spine = spine_for(key);
+  return {leaf_to_spine(src_leaf, spine), spine_to_leaf(spine, dst_leaf)};
 }
 
 std::vector<LinkId> FabricTopology::spine_links(std::size_t spine) const {

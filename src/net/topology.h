@@ -1,40 +1,33 @@
 // Parameterized leaf–spine Clos fabric over the fluid model (DESIGN.md §17).
 //
 // Hosts attach to leaves in contiguous blocks; every leaf attaches to every
-// spine. Each physical hop is a unidirectional FluidNet link, so the same
-// progressive-filling allocator that shares the 2-server direct link shares
-// every fabric link — congestion on one spine link throttles exactly the
-// flows crossing it, which is what the multi-hop DCQCN tests pin.
+// spine. Each leaf<->spine hop is a unidirectional FluidNet link, so the
+// same progressive-filling allocator that shares the NIC links shares every
+// fabric link — congestion on one spine link throttles exactly the flows
+// crossing it, which is what the multi-hop DCQCN tests pin.
+//
+// A host's link to its leaf *is* its NIC link: the caller owns one tx and
+// one rx link per host and splices path() between them. Inside one leaf
+// path() is empty, so a one-leaf fabric is the paper's direct wire
+// generalized to H hosts — there is no other wire.
 //
 // ECMP: a flow's spine is FNV-1a over its 5-tuple, modulo the spine count.
 // Spines are enumerated in construction (insertion) order and the hash is a
 // pure function of the key bytes, so placement is identical across reruns,
 // thread counts, and machines — traces stay replayable.
-//
-// Degenerate equivalence: with one leaf (any spine count) no flow crosses a
-// spine, so a path is exactly {host-up, host-down} at link capacity. Those
-// two links carry the same flow sets as the sender's NIC-tx and receiver's
-// NIC-rx links, so progressive filling computes the same bottleneck minimum
-// over a duplicated constraint set and assigns bit-identical rates — the
-// sweep tests diff the resulting reports byte-for-byte against the legacy
-// direct-link wire.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "net/fluid.h"
-#include "sim/time.h"
 
 namespace net {
 
 struct FabricConfig {
-  std::size_t hosts = 2;
   std::size_t leaves = 1;
   std::size_t spines = 1;
-  double host_gbps = 100.0;   // host<->leaf link capacity
   double spine_gbps = 100.0;  // leaf<->spine link capacity
-  sim::Time link_delay = 0;   // per-hop propagation
 };
 
 // The 5-tuple ECMP hashes over. RoCEv2 rides UDP, so transports map the
@@ -53,12 +46,14 @@ std::uint64_t ecmp_hash(const EcmpKey& key);
 
 class FabricTopology {
  public:
-  // Adds every fabric link to `net` in a fixed order: per host the up then
-  // the down link (host 0 first), then per leaf (leaf-major) per spine the
-  // leaf->spine then the spine->leaf link. That order is the documented
-  // ECMP tie-break: spine_for() indexes into it.
-  FabricTopology(FluidNet& net, FabricConfig cfg);
+  // Adds the leaf<->spine links to `net` in a fixed order: per leaf
+  // (leaf-major) per spine the leaf->spine then the spine->leaf link. That
+  // order is the documented ECMP tie-break: spine_for() indexes into it.
+  // Leaves beyond `hosts` are dropped; an empty tier throws
+  // std::invalid_argument.
+  FabricTopology(FluidNet& net, std::size_t hosts, FabricConfig cfg);
 
+  // The effective shape (leaves clamped to the host count).
   const FabricConfig& config() const { return cfg_; }
 
   // Hosts attach to leaves in contiguous blocks of ceil(hosts/leaves).
@@ -69,15 +64,12 @@ class FabricTopology {
     return ecmp_hash(key) % cfg_.spines;
   }
 
-  // The fabric links a frame crosses from src_host to dst_host: up, then
-  // (for inter-leaf pairs) the ECMP-chosen spine crossing, then down.
-  // Empty when src_host == dst_host — intra-host traffic never leaves the
-  // NIC, matching the direct-link wire.
+  // The fabric links a frame crosses between src_host's tx link and
+  // dst_host's rx link: leaf->spine then spine->leaf on the ECMP-chosen
+  // spine for inter-leaf pairs, and none inside one leaf.
   std::vector<LinkId> path(std::size_t src_host, std::size_t dst_host,
                            const EcmpKey& key) const;
 
-  LinkId host_up(std::size_t host) const { return up_.at(host); }
-  LinkId host_down(std::size_t host) const { return down_.at(host); }
   LinkId leaf_to_spine(std::size_t leaf, std::size_t spine) const {
     return ls_.at(leaf * cfg_.spines + spine);
   }
@@ -85,22 +77,17 @@ class FabricTopology {
     return sl_.at(leaf * cfg_.spines + spine);
   }
 
-  // Every fabric link, in construction order (property tests sweep these
-  // for capacity conservation).
-  const std::vector<LinkId>& all_links() const { return all_; }
-  // The spine-layer links only (both directions of every leaf<->spine
-  // pair) — the ECN watchpoints for multi-hop congestion assertions.
+  // Both directions of every leaf<->spine pair on `spine` — the ECN
+  // watchpoints for multi-hop congestion assertions, and what an outage
+  // zeroes.
   std::vector<LinkId> spine_links(std::size_t spine) const;
 
  private:
-  FluidNet& net_;
   FabricConfig cfg_;
+  std::size_t hosts_ = 0;
   std::size_t hosts_per_leaf_ = 1;
-  std::vector<LinkId> up_;    // host -> leaf, indexed by host
-  std::vector<LinkId> down_;  // leaf -> host, indexed by host
-  std::vector<LinkId> ls_;    // leaf -> spine, leaf-major
-  std::vector<LinkId> sl_;    // spine -> leaf, leaf-major
-  std::vector<LinkId> all_;
+  std::vector<LinkId> ls_;  // leaf -> spine, leaf-major
+  std::vector<LinkId> sl_;  // spine -> leaf, leaf-major
 };
 
 }  // namespace net

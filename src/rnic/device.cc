@@ -825,8 +825,8 @@ void RnicDevice::transmit(Qp& qp, Message msg, bool expect_ack) {
   std::vector<net::LinkId> path;
   if (f.is_vf) path.push_back(f.limiter_link);
   path.push_back(tx_link_);
-  // Leaf/spine hops between the two NICs (empty without a configured
-  // topology). remote != nullptr implies router_ != nullptr.
+  // Leaf/spine hops between the two NICs (empty inside one leaf).
+  // remote != nullptr implies router_ != nullptr.
   for (net::LinkId l : router_->fabric_path(fns_.at(kPf).ip, underlay_dst,
                                             qpn, msg.frame.bth.dest_qpn)) {
     path.push_back(l);

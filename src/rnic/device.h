@@ -54,8 +54,7 @@ class FabricRouter {
   // The fabric links (leaf/spine hops, DESIGN.md §17) a frame crosses
   // between two underlay endpoints, in wire order; inserted between the
   // sender's tx link and the receiver's rx link. The QPNs feed the ECMP
-  // 5-tuple. Default: none — the legacy direct-link wire, so routers
-  // without a configured topology keep a bit-identical event stream.
+  // 5-tuple. Default: none — the two NIC links are the whole wire.
   virtual std::vector<net::LinkId> fabric_path(net::Ipv4Addr src_ip,
                                                net::Ipv4Addr dst_ip,
                                                Qpn src_qpn, Qpn dst_qpn) {

@@ -94,7 +94,7 @@ struct SendWr {
   Key rkey = 0;               // write/read
   std::uint32_t imm = 0;      // kRdmaWriteImm payload
   bool signaled = true;
-  UdDest ud;  // UD only
+  UdDest ud{};  // UD only
 };
 
 struct RecvWr {

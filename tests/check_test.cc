@@ -297,12 +297,9 @@ std::unique_ptr<fabric::Testbed> spine_bed(sim::EventLoop& loop) {
   cfg.cal.vm_mem_bytes = 512ull << 20;
   cfg.check_invariants = true;
   cfg.check_audit_every = 32;
-  net::FabricConfig fc;
-  fc.leaves = 2;
-  fc.spines = 1;
-  fc.host_gbps = 40.0;  // == cal.link_gbps
-  fc.spine_gbps = 40.0;
-  cfg.topology = fc;
+  cfg.topology.leaves = 2;
+  cfg.topology.spines = 1;
+  cfg.topology.spine_gbps = 40.0;  // == cal.link_gbps
   auto bed = std::make_unique<fabric::Testbed>(loop, cfg);
   bed->add_instances(2);
   return bed;
@@ -313,11 +310,11 @@ std::unique_ptr<fabric::Testbed> spine_bed(sim::EventLoop& loop) {
 sim::Task<void> spine_outage(fabric::Testbed* bed, sim::Time from,
                              sim::Time until) {
   co_await sim::delay(bed->loop(), from);
-  for (net::LinkId l : bed->topology()->spine_links(0)) {
+  for (net::LinkId l : bed->topology().spine_links(0)) {
     bed->fluid().set_link_capacity(l, 0);
   }
   co_await sim::delay(bed->loop(), until - from);
-  for (net::LinkId l : bed->topology()->spine_links(0)) {
+  for (net::LinkId l : bed->topology().spine_links(0)) {
     bed->fluid().set_link_capacity(l, 40.0);
   }
 }

@@ -108,7 +108,9 @@ TEST(FlatMapTest, HundredSeedEquivalenceSweep) {
           const auto it = m.find(key);
           const auto rit = ref.find(key);
           ASSERT_EQ(it != m.end(), rit != ref.end()) << "seed " << seed;
-          if (it != m.end()) ASSERT_EQ(it->second, rit->second);
+          if (it != m.end()) {
+            ASSERT_EQ(it->second, rit->second);
+          }
           break;
         }
       }

@@ -298,19 +298,24 @@ class FluidEquivalenceTest : public ::testing::TestWithParam<int> {
 TEST_P(FluidEquivalenceTest, BitIdenticalToReferenceSolver) {
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
 
+  // Per-host NIC links with propagation delay, then the fabric between
+  // them, then the tenant limiters.
+  std::vector<LinkId> tx, rx;
+  for (std::size_t h = 0; h < kHosts; ++h) {
+    tx.push_back(fast_.add_link(100.0, 1000));
+    rx.push_back(fast_.add_link(100.0, 1000));
+  }
   net::FabricConfig fc;
-  fc.hosts = kHosts;
   fc.leaves = 4;
   fc.spines = 2;
-  fc.host_gbps = 100.0;
   fc.spine_gbps = 40.0;  // oversubscribed: spine links bottleneck
-  fc.link_delay = 1000;
-  const net::FabricTopology topo(fast_, fc);
+  const net::FabricTopology topo(fast_, kHosts, fc);
   std::vector<LinkId> limiter;
   for (std::size_t t = 0; t < kTenants; ++t) {
     limiter.push_back(fast_.add_link(5.0 + 60.0 * rng.next_double(), 0));
   }
-  links_ = static_cast<LinkId>(topo.all_links().size() + kTenants);
+  links_ = static_cast<LinkId>(2 * kHosts + 2 * fc.leaves * fc.spines +
+                               kTenants);
   std::vector<double> base_gbps;
   for (LinkId l = 0; l < links_; ++l) {
     base_gbps.push_back(fast_.link_capacity_gbps(l));
@@ -331,8 +336,9 @@ TEST_P(FluidEquivalenceTest, BitIdenticalToReferenceSolver) {
       key.src_ip = static_cast<std::uint32_t>(src);
       key.dst_ip = static_cast<std::uint32_t>(dst);
       key.src_port = static_cast<std::uint16_t>(rng.next_below(65536));
-      std::vector<LinkId> path{limiter[rng.next_below(kTenants)]};
+      std::vector<LinkId> path{limiter[rng.next_below(kTenants)], tx[src]};
       for (LinkId l : topo.path(src, dst, key)) path.push_back(l);
+      path.push_back(rx[dst]);
       // A repeated link: the load counts each flow once per distinct link.
       if (rng.next_bool(0.05)) path.push_back(path.back());
       const std::uint64_t bytes =

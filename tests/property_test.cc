@@ -77,7 +77,9 @@ TEST(QpFsmTest, TableTwoConsistency) {
   for (QpState s : {QpState::kReset, QpState::kInit, QpState::kRtr,
                     QpState::kRts, QpState::kSqd, QpState::kSqe,
                     QpState::kError}) {
-    if (rnic::can_transmit(s)) EXPECT_TRUE(rnic::can_accept_packets(s));
+    if (rnic::can_transmit(s)) {
+      EXPECT_TRUE(rnic::can_accept_packets(s));
+    }
     if (s == QpState::kError) {
       EXPECT_FALSE(rnic::can_transmit(s));
       EXPECT_FALSE(rnic::can_accept_packets(s));

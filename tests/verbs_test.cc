@@ -74,7 +74,7 @@ TEST_F(KernelDriverTest, VfFactorScalesControlVerbs) {
 TEST_F(KernelDriverTest, RegMrPinsWholeChainAndDeregUnpins) {
   hyp::Vm vm(host_, {.mem_bytes = 256ull << 20});
   verbs::KernelDriver drv(loop_, *dev_, rnic::kPf);
-  auto scenario = [](KernelDriverTest* t, hyp::Vm* vm,
+  auto scenario = [](hyp::Vm* vm,
                      verbs::KernelDriver* drv) -> sim::Task<void> {
     const mem::Addr gva = vm->alloc_guest_buffer(4 * mem::kPageSize);
     auto pd = co_await drv->alloc_pd();
@@ -93,7 +93,7 @@ TEST_F(KernelDriverTest, RegMrPinsWholeChainAndDeregUnpins) {
     EXPECT_FALSE(vm->gva().is_pinned(gva));
     vm->free_guest_buffer(gva, 4 * mem::kPageSize);  // now legal
   };
-  run(scenario(this, &vm, &drv));
+  run(scenario(&vm, &drv));
 }
 
 TEST_F(KernelDriverTest, RegMrRejectsUnmappedRange) {

@@ -30,8 +30,10 @@
 //   Fabric traffic phase (DESIGN.md §17) — replays a slice of the storm
 //   schedule as data flows over a leaf-spine Clos fabric with ECMP +
 //   multi-hop DCQCN; the report gains a "topology" JSON block:
-//     --topology <mode>   direct | leafspine (enables the phase)
-//     --leaves <n> --spines <n>          fabric shape  (default: 8 / 2)
+//     --topology <mode>   direct (one leaf: NIC links only) | leafspine
+//                         (8 leaves unless --leaves chose more); enables
+//                         the phase
+//     --leaves <n> --spines <n>          fabric shape  (presets: 8 / 2)
 //     --host-gbps <g> --spine-gbps <g>   link rates    (default: 25 / 40)
 //     --pattern <p>       pairs | incast                (default: pairs)
 //     --flows <n>         schedule conns replayed       (default: 256)
@@ -48,6 +50,8 @@
 //     --overspine         128-host oversubscribed-spine preset
 //                         (presets apply in place, like --smoke: flags
 //                         given after a preset override its fields)
+//     Zero leaves or spines, an unknown pattern, or a --fail-spine past the
+//     spine count is refused with the usage text and exit status 2.
 //     -h, --help
 //
 // The default configuration is the 10k-VM storm (16 hosts x 625 VMs):
@@ -189,10 +193,9 @@ int main(int argc, char** argv) {
       const std::string mode = next();
       cfg.traffic.enabled = true;
       if (mode == "direct") {
-        cfg.traffic.leaves = 0;
+        cfg.traffic.leaves = 1;
       } else if (mode == "leafspine") {
-        if (cfg.traffic.leaves == 0) cfg.traffic.leaves = 8;
-        if (cfg.traffic.spines == 0) cfg.traffic.spines = 2;
+        if (cfg.traffic.leaves <= 1) cfg.traffic.leaves = 8;
       } else {
         std::fprintf(stderr, "unknown topology: %s\n", mode.c_str());
         usage(argv[0]);
@@ -208,6 +211,12 @@ int main(int argc, char** argv) {
       cfg.traffic.spine_gbps = std::atof(next());
     } else if (a == "--pattern") {
       cfg.traffic.pattern = next();
+      if (cfg.traffic.pattern != "pairs" && cfg.traffic.pattern != "incast") {
+        std::fprintf(stderr, "unknown pattern: %s\n",
+                     cfg.traffic.pattern.c_str());
+        usage(argv[0]);
+        return 2;
+      }
     } else if (a == "--flows") {
       cfg.traffic.flows = next_zu();
     } else if (a == "--fanin") {
@@ -264,6 +273,18 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 2;
     }
+  }
+  // FabricTopology throws on an empty tier, and a spine index past the
+  // count would fail some other spine: refuse both up front.
+  const fabric::TrafficConfig& tc = cfg.traffic;
+  if (tc.leaves == 0 || tc.spines == 0 ||
+      (tc.fail_spine >= 0 &&
+       static_cast<std::size_t>(tc.fail_spine) >= tc.spines)) {
+    std::fprintf(stderr,
+                 "bad fabric: %zu leaves x %zu spines, --fail-spine %d\n",
+                 tc.leaves, tc.spines, tc.fail_spine);
+    usage(argv[0]);
+    return 2;
   }
   if (cfg.down_shard >= 0 && cfg.down_until <= cfg.down_from) {
     cfg.down_from = sim::milliseconds(60);
@@ -324,21 +345,13 @@ int main(int argc, char** argv) {
                 sr.table_size);
   }
   if (r.traffic.enabled) {
-    // Topology shape is printed here, NOT serialized into the JSON: the
-    // degenerate-equivalence sweep byte-diffs a 1-leaf fabric report
-    // against a direct-mode one (DESIGN.md §17).
+    // The effective (clamped) shape is printed here, NOT serialized into
+    // the JSON, whose bytes tests and CI pin.
     const fabric::TrafficReport& t = r.traffic;
-    if (t.leaves > 0) {
-      std::printf("topology: %zu hosts over %zu leaves x %zu spines "
-                  "(%.0f/%.0f Gbps), pattern %s\n",
-                  t.hosts, t.leaves, t.spines, cfg.traffic.host_gbps,
-                  cfg.traffic.spine_gbps, cfg.traffic.pattern.c_str());
-    } else {
-      std::printf("topology: %zu hosts, direct links (%.0f Gbps), "
-                  "pattern %s\n",
-                  t.hosts, cfg.traffic.host_gbps,
-                  cfg.traffic.pattern.c_str());
-    }
+    std::printf("topology: %zu hosts over %zu leaves x %zu spines "
+                "(%.0f/%.0f Gbps), pattern %s\n",
+                t.hosts, t.leaves, t.spines, tc.host_gbps, tc.spine_gbps,
+                tc.pattern.c_str());
     std::printf("traffic: %llu flows, %.1f MB in %.3f ms (%.3f Gbps agg); "
                 "fct p50 %.1f us, p99 %.1f us, max %.1f us\n",
                 static_cast<unsigned long long>(t.flows),
