@@ -280,8 +280,8 @@ TEST(TrafficPhaseTest, EcmpPlacementStableAcrossReruns) {
   EXPECT_NE(json.find("\"topology\""), std::string::npos);
 }
 
-// `masq_scaletest --mice`, shrunk to `flows` replayed flows.
-fabric::ScaleConfig mice_cfg(std::size_t flows) {
+// The 128-host base every fabric preset of `masq_scaletest --trace` shares.
+fabric::ScaleConfig fabric_preset_cfg() {
   fabric::ScaleConfig cfg;
   cfg.hosts = 128;
   cfg.vms_per_host = 4;
@@ -294,6 +294,12 @@ fabric::ScaleConfig mice_cfg(std::size_t flows) {
   cfg.traffic.leaves = 8;
   cfg.traffic.spines = 2;
   cfg.traffic.tenant_gbps = 5.0;
+  return cfg;
+}
+
+// `masq_scaletest --mice`, shrunk to `flows` replayed flows.
+fabric::ScaleConfig mice_cfg(std::size_t flows) {
+  fabric::ScaleConfig cfg = fabric_preset_cfg();
   cfg.traffic.flows = flows;
   cfg.traffic.flow_kb = 16;
   cfg.traffic.elephant_every = 8;
@@ -329,6 +335,38 @@ TEST(TrafficPhaseTest, MiceEventStreamIsPinned) {
   EXPECT_EQ(r.traffic.trace_hash, 0x37c7cba5aa3168f9ull);
   EXPECT_EQ(r.sim_events, 23627u);
   EXPECT_EQ(r.trace_hash, 0x6bb1ec738c8abe21ull);
+}
+
+// `masq_scaletest --incast`.
+fabric::ScaleConfig incast_cfg() {
+  fabric::ScaleConfig cfg = fabric_preset_cfg();
+  cfg.traffic.pattern = "incast";
+  cfg.traffic.incast_fanin = 48;
+  cfg.traffic.flows = 256;
+  cfg.traffic.flow_kb = 256;
+  return cfg;
+}
+
+// The incast stream, pinned like the mice stream: `masq_scaletest --incast
+// --trace`, then the same with `--fail-spine 0 --fail-from 1 --fail-until
+// 3`. Here many DCQCN cap changes land on a flow its own cap holds, and the
+// outage mixes link-capacity changes in between.
+TEST(TrafficPhaseTest, IncastEventStreamIsPinned) {
+  const fabric::ScaleReport r = fabric::run_scale_storm(incast_cfg());
+  EXPECT_EQ(r.traffic.sim_events, 13245u);
+  EXPECT_EQ(r.traffic.trace_hash, 0x72a9c0528e4392dfull);
+  EXPECT_EQ(r.sim_events, 31419u);
+  EXPECT_EQ(r.trace_hash, 0xa9dd9a547a14c9e7ull);
+
+  fabric::ScaleConfig outage = incast_cfg();
+  outage.traffic.fail_spine = 0;
+  outage.traffic.fail_from = sim::milliseconds(1);
+  outage.traffic.fail_until = sim::milliseconds(3);
+  const fabric::ScaleReport o = fabric::run_scale_storm(outage);
+  EXPECT_EQ(o.traffic.sim_events, 14831u);
+  EXPECT_EQ(o.traffic.trace_hash, 0x4fc1f5eb7d039929ull);
+  EXPECT_EQ(o.sim_events, 33005u);
+  EXPECT_EQ(o.trace_hash, 0x1b3cc6656a65dfb1ull);
 }
 
 TEST(TrafficPhaseTest, TenantRateLimitHoldsUnderIncast) {
