@@ -12,10 +12,13 @@ namespace {
 // remaining bytes fall below this is considered finished (guards float
 // accumulation error).
 constexpr double kByteEpsilon = 1e-6;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 LinkId FluidNet::add_link(double gbps, sim::Time prop_delay) {
-  if (gbps <= 0) throw std::invalid_argument("add_link: capacity must be > 0");
+  if (!(gbps > 0)) {  // refuses NaN too: every NaN comparison is false
+    throw std::invalid_argument("add_link: capacity must be > 0");
+  }
   links_.push_back(Link{gbps_to_bytes_per_ns(gbps), prop_delay});
   return static_cast<LinkId>(links_.size() - 1);
 }
@@ -25,8 +28,8 @@ double FluidNet::link_capacity_gbps(LinkId id) const {
 }
 
 void FluidNet::set_link_capacity(LinkId id, double gbps) {
-  if (gbps < 0) {
-    throw std::invalid_argument("set_link_capacity: negative capacity");
+  if (!(gbps >= 0)) {
+    throw std::invalid_argument("set_link_capacity: negative or NaN capacity");
   }
   settle();
   links_.at(id).capacity = gbps_to_bytes_per_ns(gbps);
@@ -61,9 +64,15 @@ FlowId FluidNet::start_flow(std::vector<LinkId> path, std::uint64_t bytes,
 void FluidNet::set_flow_cap(FlowId id, double cap_gbps) {
   auto it = flows_.find(id);
   if (it == flows_.end()) throw std::out_of_range("set_flow_cap: no such flow");
+  Flow& f = it->second;
+  f.cap = cap_gbps == kUncapped ? kUncapped : gbps_to_bytes_per_ns(cap_gbps);
+  if (f.cap > f.slack_above) {
+    // The refill would fix the same flows at the same rates. The timer is
+    // still re-armed, exactly as the refill would re-arm it.
+    arm_completion_timer(settle(/*timed=*/true));
+    return;
+  }
   settle();
-  it->second.cap =
-      cap_gbps == kUncapped ? kUncapped : gbps_to_bytes_per_ns(cap_gbps);
   reallocate();
 }
 
@@ -97,19 +106,29 @@ std::uint64_t FluidNet::bytes_sent(FlowId id) {
   return static_cast<std::uint64_t>(it->second.bytes_done);
 }
 
-void FluidNet::settle() {
+double FluidNet::Flow::time_left() const {
+  if (bytes_total == 0) return kInf;
+  if (bytes_remaining <= kByteEpsilon) return 0;
+  return rate > 0 ? bytes_remaining / rate : kInf;
+}
+
+double FluidNet::settle(bool timed) {
   const sim::Time now = loop_.now();
   const double dt = static_cast<double>(now - last_settle_);
-  if (dt > 0) {
-    for (auto& [id, f] : flows_) {
+  last_settle_ = now;
+  double earliest = kInf;
+  if (dt <= 0 && !timed) return earliest;
+  for (auto& [id, f] : flows_) {
+    if (dt > 0) {
       const double sent = f.rate * dt;
       f.bytes_done += sent;
       if (f.bytes_total > 0) {
         f.bytes_remaining = std::max(0.0, f.bytes_remaining - sent);
       }
     }
+    if (timed) earliest = std::min(earliest, f.time_left());
   }
-  last_settle_ = now;
+  return earliest;
 }
 
 void FluidNet::reallocate() {
@@ -123,6 +142,7 @@ void FluidNet::reallocate() {
   unfixed_.clear();
   for (auto& [id, f] : flows_) {
     f.rate = 0;
+    f.slack_above = kInf;
     unfixed_.push_back(&f);
     for (LinkId l : f.path) {
       if (links_[l].unfixed_flows++ == 0) {
@@ -154,9 +174,12 @@ void FluidNet::reallocate() {
     }
   };
 
+  // Shares rise round by round, but can dip by an ulp: slack_above takes
+  // the running maximum, the bound every cap test so far compared against.
+  double highest_share = 0;
   while (!unfixed_.empty()) {
     // Fair share currently offered by the most constrained link.
-    double bottleneck_share = std::numeric_limits<double>::infinity();
+    double bottleneck_share = kInf;
     for (LinkId l : live_links_) {
       const Link& s = links_[l];
       if (s.unfixed_flows > 0) {
@@ -164,6 +187,7 @@ void FluidNet::reallocate() {
             std::min(bottleneck_share, s.remaining / s.unfixed_flows);
       }
     }
+    highest_share = std::max(highest_share, bottleneck_share);
     // Flows whose own cap binds before the bottleneck share get fixed at
     // their cap; if none, every flow on the bottleneck link(s) gets the
     // fair share.
@@ -192,32 +216,27 @@ void FluidNet::reallocate() {
       return false;
     });
     assert(!fixing_.empty());
-    for (Flow* f : fixing_) fix(f, bottleneck_share);
+    for (Flow* f : fixing_) {
+      fix(f, bottleneck_share);
+      f->slack_above = highest_share;
+    }
   }
 
   // Cache each link's load: every flow adds its rate once per distinct
-  // link on its path, in FlowId order.
+  // link on its path, in FlowId order. The same pass finds the earliest
+  // completion; a minimum of non-NaN doubles does not depend on order.
+  double earliest = kInf;
   for (const auto& [id, f] : flows_) {
     for (auto l = f.path.begin(); l != f.path.end(); ++l) {
       if (std::find(f.path.begin(), l, *l) == l) links_[*l].load += f.rate;
     }
+    earliest = std::min(earliest, f.time_left());
   }
-  arm_completion_timer();
+  arm_completion_timer(earliest);
 }
 
-void FluidNet::arm_completion_timer() {
+void FluidNet::arm_completion_timer(double earliest) {
   ++timer_generation_;
-  double earliest = std::numeric_limits<double>::infinity();
-  for (const auto& [id, f] : flows_) {
-    if (f.bytes_total == 0) continue;
-    if (f.bytes_remaining <= kByteEpsilon) {
-      earliest = 0;
-      break;
-    }
-    if (f.rate > 0) {
-      earliest = std::min(earliest, f.bytes_remaining / f.rate);
-    }
-  }
   if (!std::isfinite(earliest)) return;
   const auto gen = timer_generation_;
   const sim::Time dt = static_cast<sim::Time>(std::ceil(earliest));
