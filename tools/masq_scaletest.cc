@@ -51,7 +51,10 @@
 //                         (presets apply in place, like --smoke: flags
 //                         given after a preset override its fields)
 //     Zero leaves or spines, an unknown pattern, or a --fail-spine past the
-//     spine count is refused with the usage text and exit status 2.
+//     spine count is refused with the usage text and exit status 2. So is
+//     a --host-gbps or --spine-gbps that is not a finite number above 0, a
+//     --tenant-gbps that is not a finite number at or above 0, and a
+//     --flow-kb or --elephant-kb of 0.
 //     -h, --help
 //
 // The default configuration is the 10k-VM storm (16 hosts x 625 VMs):
@@ -68,6 +71,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -142,6 +146,13 @@ int main(int argc, char** argv) {
       return static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
     };
     auto next_us = [&]() { return sim::microseconds(std::atof(next())); };
+    // A rate in Gbps; NaN unless the whole argument is a number.
+    auto next_gbps = [&]() {
+      const char* arg = next();
+      char* end = nullptr;
+      const double gbps = std::strtod(arg, &end);
+      return end != arg && *end == '\0' ? gbps : std::nan("");
+    };
     if (a == "-h" || a == "--help") {
       usage(argv[0]);
       return 0;
@@ -206,9 +217,9 @@ int main(int argc, char** argv) {
     } else if (a == "--spines") {
       cfg.traffic.spines = next_zu();
     } else if (a == "--host-gbps") {
-      cfg.traffic.host_gbps = std::atof(next());
+      cfg.traffic.host_gbps = next_gbps();
     } else if (a == "--spine-gbps") {
-      cfg.traffic.spine_gbps = std::atof(next());
+      cfg.traffic.spine_gbps = next_gbps();
     } else if (a == "--pattern") {
       cfg.traffic.pattern = next();
       if (cfg.traffic.pattern != "pairs" && cfg.traffic.pattern != "incast") {
@@ -228,7 +239,7 @@ int main(int argc, char** argv) {
     } else if (a == "--elephant-kb") {
       cfg.traffic.elephant_kb = next_zu();
     } else if (a == "--tenant-gbps") {
-      cfg.traffic.tenant_gbps = std::atof(next());
+      cfg.traffic.tenant_gbps = next_gbps();
     } else if (a == "--placement") {
       cfg.traffic.placement = true;
     } else if (a == "--no-dcqcn") {
@@ -283,6 +294,22 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "bad fabric: %zu leaves x %zu spines, --fail-spine %d\n",
                  tc.leaves, tc.spines, tc.fail_spine);
+    usage(argv[0]);
+    return 2;
+  }
+  // FluidNet throws on a link rate at or below 0, a NaN rate runs wrong
+  // or never ends, a negative or NaN limiter is silently off, and a 0 KB
+  // flow is FluidNet's unbounded flow, so the phase would never end.
+  const bool rates_ok = std::isfinite(tc.host_gbps) && tc.host_gbps > 0 &&
+                        std::isfinite(tc.spine_gbps) && tc.spine_gbps > 0 &&
+                        std::isfinite(tc.tenant_gbps) && tc.tenant_gbps >= 0;
+  if (!rates_ok || tc.flow_kb == 0 || tc.elephant_kb == 0) {
+    std::fprintf(stderr,
+                 "bad traffic: host %g, spine %g, tenant %g Gbps; flow %llu, "
+                 "elephant %llu KB\n",
+                 tc.host_gbps, tc.spine_gbps, tc.tenant_gbps,
+                 static_cast<unsigned long long>(tc.flow_kb),
+                 static_cast<unsigned long long>(tc.elephant_kb));
     usage(argv[0]);
     return 2;
   }
