@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "apps/common.h"
@@ -17,6 +18,7 @@
 #include "mem/region_allocator.h"
 #include "net/fluid.h"
 #include "overlay/security.h"
+#include "pin_hash.h"
 #include "rnic/qp_state.h"
 #include "sim/rng.h"
 #include "virtio/virtqueue.h"
@@ -295,10 +297,14 @@ TEST(VirtioPropertyTest, ResponsesPreserveSubmissionOrderPerCaller) {
 //   * degraded mode never serves a mapping staler than the bound,
 //   * every verb reaches a terminal status — the workload coroutine runs
 //     to completion instead of hanging on a lost descriptor.
-class ChaosSweepTest : public ::testing::TestWithParam<int> {};
+// Each run also reports its event count and fault replay log, which the
+// fold test below pins across seeds 1-100.
+struct SweepStream {
+  std::uint64_t events = 0;
+  std::string fault_log;
+};
 
-TEST_P(ChaosSweepTest, ErrorQpsUntrackedAndStalenessBounded) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
+void run_chaos_sweep(std::uint64_t seed, SweepStream* stream) {
   sim::EventLoop loop;
   fabric::TestbedConfig cfg;
   cfg.candidate = fabric::Candidate::kMasq;
@@ -367,10 +373,34 @@ TEST_P(ChaosSweepTest, ErrorQpsUntrackedAndStalenessBounded) {
     EXPECT_LE(cache.max_served_staleness(), cache.staleness_bound())
         << "seed " << seed << " host " << h;
   }
+  stream->events = loop.events_executed();
+  stream->fault_log = bed.faults()->dump_log();
+}
+
+class ChaosSweepTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ChaosSweepTest, ErrorQpsUntrackedAndStalenessBounded) {
+  SweepStream stream;
+  run_chaos_sweep(static_cast<std::uint64_t>(GetParam()), &stream);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweepTest,
                          ::testing::Range(1, chaos_sweep_seed_count() + 1));
+
+TEST(ChaosSweepFoldTest, SeedsOneToHundredMatchRecording) {
+  // Every sweep seed's event count and fault log, folded into one FNV-1a
+  // value. The width is fixed here (MASQ_CHAOS_SEEDS sizes only the
+  // sweep above), so the pin means the same thing in every job. Recorded
+  // before the command channel took one shape.
+  std::uint64_t h = pin::kFnvBasis;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SweepStream stream;
+    run_chaos_sweep(seed, &stream);
+    h = pin::fnv1a(h, stream.events);
+    h = pin::fnv1a(h, stream.fault_log);
+  }
+  EXPECT_EQ(h, 0xb2f7513144a7da00ull);
+}
 
 // --------------------------- sharded controller vs single-shard reference
 
