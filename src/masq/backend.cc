@@ -159,7 +159,7 @@ namespace {
 // permanent one.
 rnic::Status resolve_links(const BatchLink& link,
                            const std::vector<Response>& done,
-                           BatchableCommand* cmd) {
+                           Command* cmd) {
   auto fetch = [&done](int slot, std::uint64_t* out) -> rnic::Status {
     if (slot < 0 || slot >= static_cast<int>(done.size())) {
       return rnic::Status::kInvalidArgument;
@@ -196,13 +196,6 @@ rnic::Status resolve_links(const BatchLink& link,
 }  // namespace
 
 sim::Task<Response> Backend::Session::handle(Envelope env) {
-  sim::FaultPlane* faults = backend_.faults();
-  if (env.cmd_id == 0) {
-    if (faults != nullptr && faults->fail_command(0)) {
-      co_return Response{rnic::Status::kUnavailable, 0, 0};
-    }
-    co_return co_await handle(std::move(env.cmd));
-  }
   if (auto it = completed_cmds_.find(env.cmd_id);
       it != completed_cmds_.end()) {
     ++dedup_hits_;
@@ -218,16 +211,13 @@ sim::Task<Response> Backend::Session::handle(Envelope env) {
   sim::Promise<Response> leader(backend_.loop());
   inflight_cmds_.emplace(env.cmd_id, leader.get_future());
   Response r;
+  sim::FaultPlane* faults = backend_.faults();
   if (faults != nullptr && faults->fail_command(env.cmd_id)) {
     r = Response{rnic::Status::kUnavailable, 0, 0};
   } else {
-    try {
-      r = co_await handle(std::move(env.cmd));
-    } catch (...) {
-      inflight_cmds_.erase(env.cmd_id);
-      leader.set_exception(std::current_exception());
-      throw;
-    }
+    // handle_batch turns an entry's exception into that entry's error, so
+    // nothing here throws into the in-flight table.
+    r = co_await handle_batch(std::move(env.batch));
   }
   inflight_cmds_.erase(env.cmd_id);
   if (!rnic::is_retryable(r.status)) {
@@ -248,29 +238,12 @@ sim::Task<Response> Backend::Session::handle(Envelope env) {
   co_return r;
 }
 
-sim::Task<Response> Backend::Session::handle(Command cmd) {
-  if (auto* b = std::get_if<CmdBatch>(&cmd)) {
-    co_return co_await handle_batch(std::move(*b));
-  }
-  BatchableCommand one = std::visit(
-      [](auto&& c) -> BatchableCommand {
-        using T = std::decay_t<decltype(c)>;
-        if constexpr (std::is_same_v<T, CmdBatch>) {
-          throw std::logic_error("unreachable: batch handled above");
-        } else {
-          return BatchableCommand{std::forward<decltype(c)>(c)};
-        }
-      },
-      std::move(cmd));
-  co_return co_await handle_one(std::move(one));
-}
-
 sim::Task<Response> Backend::Session::handle_batch(CmdBatch batch) {
   Response out;
   out.status = rnic::Status::kOk;
   out.batch.reserve(batch.cmds.size());
   for (std::size_t i = 0; i < batch.cmds.size(); ++i) {
-    BatchableCommand cmd = std::move(batch.cmds[i]);
+    Command cmd = std::move(batch.cmds[i]);
     rnic::Status link_st = rnic::Status::kOk;
     if (i < batch.links.size() && batch.links[i].any()) {
       link_st = resolve_links(batch.links[i], out.batch, &cmd);
@@ -300,7 +273,7 @@ sim::Task<Response> Backend::Session::handle_batch(CmdBatch batch) {
   co_return out;
 }
 
-sim::Task<Response> Backend::Session::handle_one(BatchableCommand cmd) {
+sim::Task<Response> Backend::Session::handle_one(Command cmd) {
   // MasQ driver processing (frontend marshalling + backend dispatch).
   if (profile_ != nullptr) {
     const char* verb = std::visit(

@@ -107,23 +107,22 @@ class Backend {
    public:
     Session(Backend& backend, hyp::Vm& vm, rnic::FnId fn);
 
-    // Processes one frontend command. The virtqueue transit time is
-    // charged by the frontend; this charges backend processing + the
-    // kernel driver + any RConnrename/RConntrack work. A CmdBatch is
-    // drained in one wakeup: entries run in submission order through the
-    // exact per-command path (RConntrack verdicts, RConnrename rewrites
-    // and tenant-view updates are identical to solo submission) and one
-    // failed entry does not poison its batchmates.
-    sim::Task<Response> handle(Command cmd);
-
-    // Envelope entry point (what the virtqueue delivers): idempotent
-    // command handling. A cmd_id the session already executed returns the
-    // memoized response; one still executing coalesces onto its in-flight
-    // future — so a frontend retry racing the original, or a duplicated
-    // descriptor, never runs a command twice. Retryable (transient)
-    // responses — injected via FaultPlane::fail_command or a real
-    // kUnavailable — are NOT memoized, so a backoff retry under the same
-    // cmd_id re-executes instead of replaying the failure.
+    // Processes one envelope (what the virtqueue delivers). The virtqueue
+    // transit time is charged by the frontend; this charges backend
+    // processing + the kernel driver + any RConnrename/RConntrack work.
+    //
+    // Handling is idempotent: a cmd_id the session already executed
+    // returns the memoized response; one still executing coalesces onto
+    // its in-flight future — so a frontend retry racing the original, or a
+    // duplicated descriptor, never runs a command twice. Retryable
+    // (transient) responses — injected via FaultPlane::fail_command or a
+    // real kUnavailable — are NOT memoized, so a backoff retry under the
+    // same cmd_id re-executes instead of replaying the failure.
+    //
+    // The batch is drained in one wakeup: entries run in submission order
+    // through the same per-command path, and one failed entry does not
+    // poison its batchmates. The fault plane draws once for the envelope
+    // and once per entry, at every batch size.
     sim::Task<Response> handle(Envelope env);
 
     std::uint64_t dedup_hits() const { return dedup_hits_; }
@@ -173,8 +172,8 @@ class Backend {
     sim::Task<Response> dealloc_pd_local(rnic::PdId pd);
 
    private:
-    // One non-batch command through dispatch + MasQ-driver charge.
-    sim::Task<Response> handle_one(BatchableCommand cmd);
+    // One command through dispatch + MasQ-driver charge.
+    sim::Task<Response> handle_one(Command cmd);
     // Drains a whole batch in one backend wakeup.
     sim::Task<Response> handle_batch(CmdBatch batch);
     sim::Task<Response> on_reg_mr(const CmdRegMr& cmd);

@@ -65,9 +65,9 @@ struct CmdUdSend {
   rnic::SendWr wr;
 };
 
-// A single (non-batch) command. Batches carry these, so batches cannot
-// nest by construction.
-using BatchableCommand =
+// One control verb. Batches carry these, so batches cannot nest by
+// construction.
+using Command =
     std::variant<CmdRegMr, CmdCreateCq, CmdCreateQp, CmdModifyQp, CmdQueryQp,
                  CmdDestroyQp, CmdDestroyCq, CmdDeregMr, CmdUdSend>;
 
@@ -88,38 +88,35 @@ struct BatchLink {
   }
 };
 
-// A batch of commands submitted as one virtqueue transit (one kick, one
-// interrupt). The backend drains it per wakeup, preserving per-command
-// semantics: each entry runs the exact same RConntrack/RConnrename path it
-// would have run solo, and one failed entry must not poison its
-// batchmates — every entry gets its own Response.
+// Commands submitted as one virtqueue transit (one kick, one interrupt);
+// a verb submitted on its own is a batch of one. The backend drains it per
+// wakeup: each entry runs the same RConntrack/RConnrename path whatever
+// its batchmates, and one failed entry must not poison them — every entry
+// gets its own Response.
 struct CmdBatch {
-  std::vector<BatchableCommand> cmds;
+  std::vector<Command> cmds;
   std::vector<BatchLink> links;  // parallel to cmds; may be shorter (no links)
 };
-
-using Command = std::variant<CmdRegMr, CmdCreateCq, CmdCreateQp, CmdModifyQp,
-                             CmdQueryQp, CmdDestroyQp, CmdDestroyCq,
-                             CmdDeregMr, CmdUdSend, CmdBatch>;
 
 struct Response {
   rnic::Status status = rnic::Status::kOk;
   std::uint64_t v0 = 0;  // pd / lkey / cqn / qpn, depending on the command
   std::uint64_t v1 = 0;
   rnic::QpAttr attr{};   // CmdQueryQp only
-  // CmdBatch only: one Response per batch entry, in submission order.
-  // status above is kOk iff every entry succeeded (first error otherwise).
+  // An envelope's response: one Response per batch entry, in submission
+  // order, and status is kOk iff every entry succeeded (first error
+  // otherwise). Empty when the envelope failed as a whole.
   std::vector<Response> batch{};
 };
 
-// What actually crosses the virtqueue: the command plus a frontend-chosen
-// command id. Retried submissions reuse the id, so the backend can
-// recognise a command it already executed (a retry racing the original, a
-// duplicated descriptor) and replay the memoized response instead of
-// executing twice. Id 0 opts out of deduplication.
+// What actually crosses the virtqueue: a batch plus a frontend-chosen
+// command id (ids start at 1). Retried submissions reuse the id, so the
+// backend can recognise an envelope it already executed (a retry racing
+// the original, a duplicated descriptor) and replay the memoized response
+// instead of executing twice.
 struct Envelope {
   std::uint64_t cmd_id = 0;
-  Command cmd;
+  CmdBatch batch;
 };
 
 // Frontend retry policy for control verbs. Transient failures

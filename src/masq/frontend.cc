@@ -1,6 +1,7 @@
 #include "masq/frontend.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "masq/warm_pool.h"
 #include "sim/flat_map.h"
@@ -182,11 +183,16 @@ sim::Task<Response> MasqContext::call(const char* verb, sim::Time lib_time,
                                       Command cmd) {
   co_await lib_charge(verb, lib_time);
   profile_.add(verb, verbs::Layer::kVirtio, vq_.costs().round_trip());
-  co_return co_await submit(std::move(cmd));
+  CmdBatch one;
+  one.cmds.push_back(std::move(cmd));
+  Response r = co_await submit(std::move(one), /*retry_entries=*/true);
+  if (r.batch.size() == 1) co_return std::move(r.batch.front());
+  co_return Response{r.status, 0, 0};
 }
 
 sim::Task<MasqContext::CallOutcome> MasqContext::attempt(
-    Envelope env, int weight, sim::Time attempt_deadline) {
+    Envelope env, sim::Time attempt_deadline) {
+  const int weight = static_cast<int>(env.batch.cmds.size());
   if (session_->backend().faults() != nullptr) {
     const std::uint64_t id = env.cmd_id;
     co_return co_await vq_.call_deadline(std::move(env), weight,
@@ -207,7 +213,7 @@ sim::Time MasqContext::backoff_delay(int attempt) {
   return static_cast<sim::Time>(backoff);
 }
 
-sim::Task<Response> MasqContext::submit(Command cmd, int weight) {
+sim::Task<Response> MasqContext::submit(CmdBatch batch, bool retry_entries) {
   // Migration gate: park before touching session_ or the virtqueue — the
   // atomic section runs with session_ detached and the queue must stay
   // drained. Loop, not if: a back-to-back migration may re-close the gate
@@ -229,46 +235,12 @@ sim::Task<Response> MasqContext::submit(Command cmd, int weight) {
         std::min(deadline, loop().now() + rp.attempt_timeout);
     // Named envelope + explicit move: passing a prvalue aggregate into a
     // coroutine parameter double-frees under GCC 12 (parameter-copy bug).
-    Envelope env{id, cmd};
-    CallOutcome out =
-        co_await attempt(std::move(env), weight, attempt_deadline);
-    if (!out.timed_out && !rnic::is_retryable(out.resp.status)) {
+    Envelope env{id, batch};
+    CallOutcome out = co_await attempt(std::move(env), attempt_deadline);
+    if (!out.timed_out &&
+        !(retry_entries && rnic::is_retryable(out.resp.status))) {
       co_return std::move(out.resp);
     }
-    if (!counted_retry) {
-      counted_retry = true;
-      ++control_retries_;
-    }
-    if (attempt_no >= rp.max_attempts) break;
-    const sim::Time pause = backoff_delay(attempt_no);
-    if (loop().now() + pause >= deadline) break;
-    co_await sim::delay(loop(), pause);
-  }
-  ++deadline_failures_;
-  co_return Response{rnic::Status::kDeadlineExceeded, 0, 0};
-}
-
-sim::Task<Response> MasqContext::submit_chunk(CmdBatch chunk, int weight) {
-  while (migration_gate_) {
-    sim::Promise<bool> gate(loop());
-    sim::Future<bool> released = gate.get_future();
-    gate_waiters_.push_back(std::move(gate));
-    (void)co_await released;
-  }
-  const RetryPolicy& rp = session_->backend().config().retry;
-  const sim::Time deadline = loop().now() + rp.verb_deadline;
-  const std::uint64_t id = next_cmd_id_++;
-  bool counted_retry = false;
-  for (int attempt_no = 1;; ++attempt_no) {
-    const sim::Time attempt_deadline =
-        std::min(deadline, loop().now() + rp.attempt_timeout);
-    Envelope env{id, Command{chunk}};
-    CallOutcome out =
-        co_await attempt(std::move(env), weight, attempt_deadline);
-    // Per-entry errors are the batch layer's business (entry retry
-    // rounds); only a lost/late chunk is retried here, and the same
-    // cmd_id makes that retry safe even if the original executed.
-    if (!out.timed_out) co_return std::move(out.resp);
     if (!counted_retry) {
       counted_retry = true;
       ++control_retries_;
@@ -350,9 +322,8 @@ sim::Task<rnic::Expected<net::Gid>> MasqContext::query_gid() {
 
 sim::Task<rnic::Expected<rnic::QpAttr>> MasqContext::query_qp(
     rnic::Qpn qpn) {
-  co_await lib_charge("query_qp", sim::microseconds(2));
-  profile_.add("query_qp", verbs::Layer::kVirtio, vq_.costs().round_trip());
-  Response r = co_await submit(CmdQueryQp{qpn});
+  Response r =
+      co_await call("query_qp", sim::microseconds(2), CmdQueryQp{qpn});
   if (r.status != rnic::Status::kOk) {
     co_return rnic::Expected<rnic::QpAttr>::error(r.status);
   }
@@ -401,7 +372,9 @@ rnic::Status MasqContext::post_send(rnic::Qpn qpn, const rnic::SendWr& wr) {
     struct Fwd {
       static sim::Task<void> run(MasqContext* self, rnic::Qpn q,
                                  rnic::SendWr w) {
-        (void)co_await self->submit(CmdUdSend{q, w});
+        CmdBatch one;
+        one.cmds.push_back(CmdUdSend{q, w});
+        (void)co_await self->submit(std::move(one), /*retry_entries=*/true);
       }
     };
     ++ud_control_sends_;
@@ -502,9 +475,8 @@ class MasqBatch final : public verbs::ControlBatch {
     while (committed_ < cmds_.size()) {
       const std::size_t begin = committed_;
       const std::size_t n = std::min(cmds_.size() - begin, ring);
-      CmdBatch b;
-      b.cmds.reserve(n);
-      b.links.reserve(n);
+      std::vector<std::size_t> chunk(n);
+      std::iota(chunk.begin(), chunk.end(), begin);
       sim::Time lib_total = 0;
       // The one virtqueue round trip is shared by the whole chunk; the
       // profile attributes a near-equal share to each verb so Fig.-16-style
@@ -514,15 +486,7 @@ class MasqBatch final : public verbs::ControlBatch {
       const sim::Time rt = ctx_.vq_.costs().round_trip();
       const sim::Time rt_base = rt / static_cast<sim::Time>(n);
       const sim::Time rt_rem = rt % static_cast<sim::Time>(n);
-      // Entries whose cross-chunk dependency already failed: they inherit
-      // that status client-side (the backend only sees a poisoned index).
-      // Ordered: iterated below to patch per-slot results.
-      sim::FlatMap<std::size_t, rnic::Status> dep_failed;
       for (std::size_t i = begin; i < begin + n; ++i) {
-        BatchableCommand cmd = cmds_[i];
-        rnic::Status dep_status = rnic::Status::kOk;
-        BatchLink link = rebase_link(links_[i], begin, n, &cmd, &dep_status);
-        if (dep_status != rnic::Status::kOk) dep_failed[i] = dep_status;
         ctx_.profile_.add(metas_[i].verb, verbs::Layer::kVerbsLib,
                           metas_[i].lib);
         const sim::Time rt_share =
@@ -530,26 +494,11 @@ class MasqBatch final : public verbs::ControlBatch {
             (static_cast<sim::Time>(i - begin) < rt_rem ? 1 : 0);
         ctx_.profile_.add(metas_[i].verb, verbs::Layer::kVirtio, rt_share);
         lib_total += metas_[i].lib;
-        b.cmds.push_back(std::move(cmd));
-        b.links.push_back(link);
       }
       // The guest library still pays its per-verb CPU share up front; only
       // the channel transits are amortized.
       co_await sim::delay(ctx_.loop(), lib_total);
-      Response r =
-          co_await ctx_.submit_chunk(std::move(b), static_cast<int>(n));
-      for (std::size_t i = 0; i < n; ++i) {
-        if (r.batch.size() != n) {
-          // The chunk itself never completed (retry budget exhausted):
-          // every entry fails with the chunk-level status.
-          Response e;
-          e.status = r.status;
-          record(begin + i, e);
-        } else {
-          record(begin + i, r.batch.at(i));
-        }
-      }
-      for (const auto& [i, st] : dep_failed) results_[i].status = st;
+      co_await submit_envelope(std::move(chunk));
       committed_ = begin + n;
     }
     co_await retry_failed_entries();
@@ -591,7 +540,7 @@ class MasqBatch final : public verbs::ControlBatch {
     return ctx_.session_->backend().config().driver_costs;
   }
 
-  int push(BatchableCommand cmd, BatchLink link, const Meta& m) {
+  int push(Command cmd, BatchLink link, const Meta& m) {
     cmds_.push_back(std::move(cmd));
     links_.push_back(link);
     metas_.push_back(m);
@@ -599,65 +548,77 @@ class MasqBatch final : public verbs::ControlBatch {
     return static_cast<int>(cmds_.size()) - 1;
   }
 
-  // Converts one absolute slot reference for a chunk [begin, begin+n):
-  // in-chunk slots become chunk-relative (forward references stay invalid
-  // and are failed by the backend, matching sequential semantics);
-  // already-committed slots are substituted client-side via `apply` — or
-  // poisoned with an out-of-range index if the dependency failed, with the
-  // dependency's status reported through `dep_status` so the entry can
-  // inherit it (retryable vs permanent matters for the retry rounds).
-  int rebase_slot(int slot, std::size_t begin, std::size_t n,
-                  const std::function<void(std::uint64_t)>& apply,
-                  rnic::Status* dep_status) {
-    if (slot < 0) return -1;
-    if (static_cast<std::size_t>(slot) >= begin) {
-      return slot - static_cast<int>(begin);  // backend resolves (or fails)
+  // Builds one envelope from `entries` (ascending slots), submits it and
+  // records every entry's result. First submissions and retry rounds map
+  // a slot link the same way:
+  //   * a link to an entry in this envelope becomes that entry's position;
+  //   * a link to an earlier entry outside it is substituted client-side
+  //     with that entry's result — or, if that entry failed, poisoned, and
+  //     the dependent inherits its status (retryable vs permanent matters
+  //     for the retry rounds);
+  //   * any other link names no earlier entry and is poisoned, so the
+  //     backend fails the entry kInvalidArgument.
+  sim::Task<void> submit_envelope(std::vector<std::size_t> entries) {
+    const std::size_t n = entries.size();
+    const int poison = static_cast<int>(n);  // past the envelope's end
+    CmdBatch b;
+    b.cmds.reserve(n);
+    b.links.reserve(n);
+    // Ordered: iterated below to patch per-slot results.
+    sim::FlatMap<std::size_t, rnic::Status> dep_failed;
+    for (const std::size_t i : entries) {
+      Command cmd = cmds_[i];
+      auto map = [&](int slot, auto apply) -> int {
+        if (slot < 0) return -1;
+        const auto dep = static_cast<std::size_t>(slot);
+        const auto at = std::lower_bound(entries.begin(), entries.end(), dep);
+        if (at != entries.end() && *at == dep) {
+          return static_cast<int>(at - entries.begin());
+        }
+        if (dep >= i) return poison;
+        if (results_[dep].status != rnic::Status::kOk) {
+          dep_failed[i] = results_[dep].status;
+          return poison;
+        }
+        apply(results_[dep].value);
+        return -1;
+      };
+      BatchLink link;
+      if (auto* c = std::get_if<CmdCreateQp>(&cmd)) {
+        link.send_cq_from = map(links_[i].send_cq_from, [c](std::uint64_t v) {
+          c->attr.send_cq = static_cast<rnic::Cqn>(v);
+        });
+        link.recv_cq_from = map(links_[i].recv_cq_from, [c](std::uint64_t v) {
+          c->attr.recv_cq = static_cast<rnic::Cqn>(v);
+        });
+      }
+      if (auto* c = std::get_if<CmdModifyQp>(&cmd)) {
+        link.qpn_from = map(links_[i].qpn_from, [c](std::uint64_t v) {
+          c->qpn = static_cast<rnic::Qpn>(v);
+        });
+      }
+      b.cmds.push_back(std::move(cmd));
+      b.links.push_back(link);
     }
-    if (results_[slot].status == rnic::Status::kOk) {
-      apply(results_[slot].value);
-      return -1;
+    Response r = co_await ctx_.submit(std::move(b), /*retry_entries=*/false);
+    for (std::size_t k = 0; k < n; ++k) {
+      // A batch that never completed (retry budget exhausted) fails every
+      // entry with the envelope's status.
+      record(entries[k],
+             r.batch.size() == n ? r.batch[k] : Response{r.status, 0, 0});
     }
-    *dep_status = results_[slot].status;
-    return static_cast<int>(n);  // dependency failed: poison for the backend
-  }
-
-  BatchLink rebase_link(const BatchLink& in, std::size_t begin, std::size_t n,
-                        BatchableCommand* cmd, rnic::Status* dep_status) {
-    BatchLink out;
-    if (auto* c = std::get_if<CmdCreateQp>(cmd)) {
-      out.send_cq_from = rebase_slot(in.send_cq_from, begin, n,
-                                     [c](std::uint64_t v) {
-                                       c->attr.send_cq =
-                                           static_cast<rnic::Cqn>(v);
-                                     },
-                                     dep_status);
-      out.recv_cq_from = rebase_slot(in.recv_cq_from, begin, n,
-                                     [c](std::uint64_t v) {
-                                       c->attr.recv_cq =
-                                           static_cast<rnic::Cqn>(v);
-                                     },
-                                     dep_status);
-    }
-    if (auto* c = std::get_if<CmdModifyQp>(cmd)) {
-      out.qpn_from = rebase_slot(in.qpn_from, begin, n,
-                                 [c](std::uint64_t v) {
-                                   c->qpn = static_cast<rnic::Qpn>(v);
-                                 },
-                                 dep_status);
-    }
-    return out;
+    for (const auto& [i, st] : dep_failed) results_[i].status = st;
   }
 
   // After the initial chunked submission, transiently-failed entries are
   // retried in rounds. Each round collects the retryable set plus ladder
   // collateral — a modify_qp that failed kInvalidState only because an
   // earlier transition on the same QP is being retried — then resubmits it
-  // as a mini-batch under a fresh cmd_id (entry-level retries are new work,
-  // not a replay of the original chunk). Links into the same round stay
-  // relative; satisfied dependencies are substituted client-side; entries
-  // whose dependency failed permanently inherit that status. Rounds stop
-  // when nothing retryable remains or the budget runs out, at which point
-  // still-transient entries fail kDeadlineExceeded like a solo verb would.
+  // in ring-sized envelopes under fresh cmd_ids (entry-level retries are
+  // new work, not a replay of the original chunk). Only a link to an
+  // earlier entry is a dependency. Rounds stop when nothing retryable
+  // remains or the budget runs out, at which point still-transient entries
+  // fail kDeadlineExceeded like a solo verb would.
   sim::Task<void> retry_failed_entries() {
     const RetryPolicy& rp = ctx_.session_->backend().config().retry;
     const sim::Time deadline = ctx_.loop().now() + rp.verb_deadline;
@@ -667,16 +628,18 @@ class MasqBatch final : public verbs::ControlBatch {
       sim::FlatSet<std::size_t> retry_slots;
       sim::FlatSet<std::uint64_t> retry_qpns;
       for (std::size_t i = 0; i < cmds_.size(); ++i) {
-        bool take = rnic::is_retryable(results_[i].status);
         const auto* mod = std::get_if<CmdModifyQp>(&cmds_[i]);
+        const int dep = links_[i].qpn_from;
+        const bool linked = dep >= 0 && static_cast<std::size_t>(dep) < i;
+        const bool dep_ok =
+            linked && results_[dep].status == rnic::Status::kOk;
+        bool take = rnic::is_retryable(results_[i].status);
         if (!take && mod != nullptr &&
             results_[i].status == rnic::Status::kInvalidState) {
-          const int dep = links_[i].qpn_from;
-          if (dep >= 0) {
+          if (linked) {
             take = retry_slots.count(static_cast<std::size_t>(dep)) != 0 ||
-                   (results_[dep].status == rnic::Status::kOk &&
-                    retry_qpns.count(results_[dep].value) != 0);
-          } else {
+                   (dep_ok && retry_qpns.count(results_[dep].value) != 0);
+          } else if (dep < 0) {
             take = retry_qpns.count(mod->qpn) != 0;
           }
         }
@@ -684,10 +647,9 @@ class MasqBatch final : public verbs::ControlBatch {
         retry_slots.insert(i);
         retry.push_back(i);
         if (mod != nullptr) {
-          const int dep = links_[i].qpn_from;
           if (dep < 0) {
             retry_qpns.insert(mod->qpn);
-          } else if (results_[dep].status == rnic::Status::kOk) {
+          } else if (dep_ok) {
             retry_qpns.insert(results_[dep].value);
           }
         }
@@ -696,70 +658,13 @@ class MasqBatch final : public verbs::ControlBatch {
       if (ctx_.loop().now() >= deadline) break;
       ++ctx_.control_retries_;
       co_await sim::delay(ctx_.loop(), ctx_.backoff_delay(round));
-      // Resubmit ring-sized slices; links point backwards only, so a
-      // dependency in an earlier slice has its fresh result recorded by
-      // the time the later slice is built.
+      // Links point backwards only, so a dependency in an earlier slice
+      // has its fresh result recorded by the time the later slice is built.
       for (std::size_t off = 0; off < retry.size(); off += ring) {
         const std::size_t n = std::min(ring, retry.size() - off);
-        sim::FlatMap<std::size_t, std::size_t> pos;
-        for (std::size_t k = 0; k < n; ++k) pos[retry[off + k]] = k;
-        CmdBatch mini;
-        mini.cmds.reserve(n);
-        mini.links.reserve(n);
-        // Ordered: iterated below to patch per-slot results.
-        sim::FlatMap<std::size_t, rnic::Status> dep_failed;
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::size_t i = retry[off + k];
-          BatchableCommand cmd = cmds_[i];
-          rnic::Status dep_status = rnic::Status::kOk;
-          auto map_slot =
-              [&](int slot,
-                  const std::function<void(std::uint64_t)>& apply) -> int {
-            if (slot < 0) return -1;
-            if (auto it = pos.find(static_cast<std::size_t>(slot));
-                it != pos.end()) {
-              return static_cast<int>(it->second);
-            }
-            if (results_[slot].status == rnic::Status::kOk) {
-              apply(results_[slot].value);
-              return -1;
-            }
-            dep_status = results_[slot].status;
-            return static_cast<int>(n);  // poison for the backend
-          };
-          BatchLink out;
-          if (auto* c = std::get_if<CmdCreateQp>(&cmd)) {
-            out.send_cq_from =
-                map_slot(links_[i].send_cq_from, [c](std::uint64_t v) {
-                  c->attr.send_cq = static_cast<rnic::Cqn>(v);
-                });
-            out.recv_cq_from =
-                map_slot(links_[i].recv_cq_from, [c](std::uint64_t v) {
-                  c->attr.recv_cq = static_cast<rnic::Cqn>(v);
-                });
-          }
-          if (auto* c = std::get_if<CmdModifyQp>(&cmd)) {
-            out.qpn_from = map_slot(links_[i].qpn_from, [c](std::uint64_t v) {
-              c->qpn = static_cast<rnic::Qpn>(v);
-            });
-          }
-          if (dep_status != rnic::Status::kOk) dep_failed[i] = dep_status;
-          mini.cmds.push_back(std::move(cmd));
-          mini.links.push_back(out);
-        }
-        Response r =
-            co_await ctx_.submit_chunk(std::move(mini), static_cast<int>(n));
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::size_t i = retry[off + k];
-          if (r.batch.size() != n) {
-            Response e;
-            e.status = r.status;
-            record(i, e);
-          } else {
-            record(i, r.batch.at(k));
-          }
-        }
-        for (const auto& [i, st] : dep_failed) results_[i].status = st;
+        std::vector<std::size_t> slice(retry.begin() + off,
+                                       retry.begin() + off + n);
+        co_await submit_envelope(std::move(slice));
       }
     }
     for (Result& res : results_) {
@@ -801,7 +706,7 @@ class MasqBatch final : public verbs::ControlBatch {
   }
 
   MasqContext& ctx_;
-  std::vector<BatchableCommand> cmds_;
+  std::vector<Command> cmds_;
   std::vector<BatchLink> links_;
   std::vector<Meta> metas_;
   std::vector<Result> results_;

@@ -131,24 +131,26 @@ class MasqContext : public verbs::Context {
 
   // Charges the user-space library share of a verb and records it.
   sim::Task<void> lib_charge(const char* verb, sim::Time t);
-  // lib charge + virtqueue round trip + backend handling (with retries).
+  // A solo verb: lib charge + virtqueue round trip + backend handling of a
+  // batch of one (with retries). Returns the entry's response, or the
+  // envelope's status when the batch never completed.
   sim::Task<Response> call(const char* verb, sim::Time lib_time, Command cmd);
 
-  // One virtqueue attempt. Under a fault plane the per-attempt deadline is
-  // armed (a dropped descriptor resumes as timed_out); without one the
-  // plain never-times-out path is used so fault-free runs keep an
-  // identical event stream.
-  sim::Task<CallOutcome> attempt(Envelope env, int weight,
-                                 sim::Time attempt_deadline);
-  // Bounded retry with exponential backoff + jitter and a per-verb
-  // deadline. Retries transient failures (rnic::is_retryable) and attempt
-  // timeouts under the same cmd_id — the backend's dedup makes the retry
-  // idempotent. Exhaustion surfaces as kDeadlineExceeded, never a hang.
-  sim::Task<Response> submit(Command cmd, int weight = 1);
-  // Chunk submission for MasqBatch: retries only *timeouts* (lost
-  // descriptors); per-entry errors are returned to the batch layer, which
-  // runs its own entry-level retry rounds.
-  sim::Task<Response> submit_chunk(CmdBatch chunk, int weight);
+  // One virtqueue attempt, weighing one ring descriptor per batch entry.
+  // Under a fault plane the per-attempt deadline is armed (a dropped
+  // descriptor resumes as timed_out); without one the plain
+  // never-times-out path is used so fault-free runs keep an identical
+  // event stream.
+  sim::Task<CallOutcome> attempt(Envelope env, sim::Time attempt_deadline);
+  // The one submit loop: bounded retry with exponential backoff + jitter
+  // and a per-verb deadline, every attempt under the same cmd_id — the
+  // backend's dedup makes a retry idempotent. Attempt timeouts are always
+  // retried. A retryable envelope status (rnic::is_retryable) is retried
+  // only with `retry_entries`: a solo verb owns its retries, while
+  // MasqBatch gets per-entry errors back and runs its own entry-level
+  // retry rounds under fresh ids. Exhaustion surfaces as
+  // kDeadlineExceeded, never a hang.
+  sim::Task<Response> submit(CmdBatch batch, bool retry_entries);
   // Backoff before retry `attempt` (1-based), jittered.
   sim::Time backoff_delay(int attempt);
 
@@ -159,9 +161,9 @@ class MasqContext : public verbs::Context {
   overlay::OobEndpoint& oob_;
   virtio::Virtqueue<Envelope, Response> vq_;
   mem::Addr doorbell_gva_ = 0;  // device BAR mapped into the guest
-  // Control-path gate: while set, submit()/submit_chunk() park on a
-  // promise before touching the virtqueue. Closed by begin_migration(),
-  // reopened (waiters released) by end_migration().
+  // Control-path gate: while set, submit() parks on a promise before
+  // touching the virtqueue. Closed by begin_migration(), reopened
+  // (waiters released) by end_migration().
   bool migration_gate_ = false;
   std::vector<sim::Promise<bool>> gate_waiters_;
   // Warm-pool staleness subscriptions (satellite fix): a peer that

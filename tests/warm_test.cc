@@ -419,6 +419,46 @@ TEST(WarmTest, BatchFailedEntryZeroesValue) {
   EXPECT_TRUE(finished);
 }
 
+TEST(WarmTest, BatchLinkPastTheEndFailsInvalidArgument) {
+  // Regression: the entry-retry rounds read a link as a dependency without
+  // checking that it names an earlier entry, so a slot past the batch's
+  // end indexed its results out of range (a garbage status, or a crash for
+  // a far slot). Such a link names nothing: fault-free it fails
+  // kInvalidArgument, and under forced command failures the entry runs
+  // its retry budget out like any other.
+  sim::EventLoop loop;
+  BedOpts o;
+  o.seed = 13;
+  o.faults.sdn_outages.push_back({sim::seconds(1), sim::seconds(1)});
+  auto bed = make_bed(loop, o);
+  ASSERT_NE(bed->faults(), nullptr);
+  struct Run {
+    static sim::Task<void> go(fabric::Testbed* bed, bool* finished) {
+      rnic::QpAttr attr;
+      attr.state = rnic::QpState::kInit;
+      auto clean = bed->ctx(0).make_batch();
+      const int slot = clean->modify_qp_slot(7, attr, rnic::kAttrState);
+      EXPECT_EQ(co_await clean->commit(), rnic::Status::kInvalidArgument);
+      EXPECT_EQ(clean->status(slot), rnic::Status::kInvalidArgument);
+
+      bed->faults()->set_force_cmd_failures(true);
+      for (const int far : {7, 1 << 30}) {
+        auto forced = bed->ctx(0).make_batch();
+        const int s = forced->modify_qp_slot(far, attr, rnic::kAttrState);
+        (void)co_await forced->commit();
+        EXPECT_EQ(forced->status(s), rnic::Status::kDeadlineExceeded)
+            << "slot " << far;
+      }
+      bed->faults()->set_force_cmd_failures(false);
+      *finished = true;
+    }
+  };
+  bool finished = false;
+  loop.spawn(Run::go(bed.get(), &finished));
+  loop.run();
+  EXPECT_TRUE(finished);
+}
+
 // -------------------------------------- bugfix: batch round-trip shares
 
 TEST(WarmTest, BatchRoundTripShareSumsExact) {
