@@ -112,7 +112,6 @@ class InvariantRegistry {
   std::uint64_t audits_run() const { return audits_; }
   // Individual auditor invocations (audits x registered auditors).
   std::uint64_t checks_run() const { return checks_; }
-  std::size_t num_auditors() const { return auditors_.size(); }
 
   // Human-readable violation list, one line each; empty string when clean.
   std::string report() const;

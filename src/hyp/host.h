@@ -36,7 +36,6 @@ class Host {
 
   rnic::RnicDevice& add_rnic(rnic::DeviceConfig config);
   rnic::RnicDevice& rnic(std::size_t i = 0) { return *rnics_.at(i); }
-  std::size_t num_rnics() const { return rnics_.size(); }
 
   std::uint64_t dram_bytes() const { return phys_.dram_size(); }
   std::uint64_t dram_used_bytes() const {

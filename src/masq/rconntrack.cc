@@ -84,7 +84,6 @@ sim::Task<void> RConntrack::revalidate_all() {
     // reset_conn (Table 4 / Fig. 18): kernel routine + RNIC processing.
     co_await e.driver->modify_qp(e.qpn, attr, rnic::kAttrState);
     ++resets_;
-    if (reset_hook_) reset_hook_(e.qpn);
     table_.erase(std::remove_if(table_.begin(), table_.end(),
                                 [&](const Entry& x) {
                                   return x.qpn == e.qpn && x.vni == e.vni;

@@ -93,11 +93,6 @@ class RConntrack {
   // asserts this is false for every QP in ERROR.
   bool has_qp(rnic::Qpn qpn) const;
 
-  // Testing/metrics hook: fired after each forced reset with the QPN.
-  void on_reset(std::function<void(rnic::Qpn)> fn) {
-    reset_hook_ = std::move(fn);
-  }
-
   // Invariant auditing (src/check): walks the table in insertion order
   // (the table is a plain vector, so this is already deterministic).
   void for_each_entry(const std::function<void(const Entry&)>& fn) const {
@@ -142,7 +137,6 @@ class RConntrack {
   std::uint64_t resets_ = 0;
   std::uint64_t validations_ = 0;
   std::uint64_t purges_ = 0;
-  std::function<void(rnic::Qpn)> reset_hook_;
 };
 
 }  // namespace masq

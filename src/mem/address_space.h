@@ -52,7 +52,6 @@ class AddressSpace {
   // takes its DMA pins with it). Missing pages are ignored.
   void force_unmap(Addr va, Addr len);
   bool is_mapped(Addr va) const;
-  std::size_t mapped_pages() const { return table_.size(); }
 
   // One-level translation. Offset within page preserved.
   std::optional<Addr> translate(Addr va) const;

@@ -28,7 +28,6 @@ class RegionAllocator {
   Addr base() const { return base_; }
   Addr size() const { return size_; }
   Addr bytes_allocated() const { return allocated_; }
-  Addr bytes_free() const { return size_ - allocated_; }
 
  private:
   Addr base_;

@@ -149,7 +149,6 @@ class RnicDevice : public mem::MmioDevice {
   net::Gid gid(FnId id) const;
 
   void attach(FabricRouter* router) { router_ = router; }
-  net::LinkId tx_link() const { return tx_link_; }
   net::LinkId rx_link() const { return rx_link_; }
   // Doorbell BAR base in host physical address space.
   mem::Addr doorbell_bar() const { return doorbell_bar_; }

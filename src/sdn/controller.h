@@ -183,10 +183,7 @@ class Controller {
   std::uint64_t shard_unreachable_queries(std::size_t shard) const {
     return shards_.at(shard)->unreachable_queries;
   }
-  // Instantaneous and high-water service-queue depth (queued + in service).
-  std::size_t shard_queue_depth(std::size_t shard) const {
-    return shards_.at(shard)->queue.depth();
-  }
+  // High-water service-queue depth (queued + in service).
   std::size_t shard_max_queue_depth(std::size_t shard) const {
     return shards_.at(shard)->max_queue_depth;
   }
@@ -199,13 +196,10 @@ class Controller {
   // GID as *virtual* — a QPC holding such a GID past RTR means RConnrename
   // failed to rewrite it.
   bool is_virtual_gid(net::Gid vgid) const;
-  // Broadcasts buffered during an outage and not yet replayed; host caches
-  // may legitimately diverge from the table while this is nonzero. The
-  // shard-scoped count lets the coherence auditor keep checking healthy
-  // partitions while one shard's broadcasts are in flight.
-  std::size_t pending_broadcast_count() const {
-    return pending_broadcasts_.size();
-  }
+  // Broadcasts of this shard buffered during an outage and not yet
+  // replayed; host caches may legitimately diverge from the shard's table
+  // while this is nonzero, and the coherence auditor keeps checking the
+  // healthy partitions.
   std::size_t shard_pending_broadcasts(std::size_t shard) const;
 
  private:

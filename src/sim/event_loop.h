@@ -92,7 +92,6 @@ class EventLoop {
   // branch per call.
   // ------------------------------------------------------------------
   void enable_trace() { trace_enabled_ = true; }
-  bool trace_enabled() const { return trace_enabled_; }
   void trace(std::uint64_t v) {
     if (trace_enabled_) mix_trace(v);
   }

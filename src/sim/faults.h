@@ -122,7 +122,6 @@ class FaultPlane {
   // rng draw is consumed, so toggling it mid-run leaves the probabilistic
   // streams bit-identical — regression tests use it to target one verb.
   void set_force_cmd_failures(bool on) { force_cmd_failures_ = on; }
-  bool force_cmd_failures() const { return force_cmd_failures_; }
   // Mapping cache: true = evict this entry instead of serving it.
   bool expire_cache_entry(std::uint64_t key_hash);
 

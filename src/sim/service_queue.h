@@ -28,8 +28,6 @@ class ServiceQueue {
   std::size_t depth() const { return queue_.size() + (busy_ ? 1 : 0); }
   bool busy() const { return busy_; }
   std::uint64_t items_served() const { return served_; }
-  // Total time the server has been occupied (utilization accounting).
-  Time busy_time() const { return busy_time_; }
 
  private:
   struct Item {
@@ -42,7 +40,6 @@ class ServiceQueue {
     busy_ = true;
     Item item = std::move(queue_.front());
     queue_.pop_front();
-    busy_time_ += item.service_time;
     loop_.schedule_after(item.service_time,
                          [this, p = std::move(item.done)]() mutable {
                            ++served_;
@@ -56,7 +53,6 @@ class ServiceQueue {
   std::deque<Item> queue_;
   bool busy_ = false;
   std::uint64_t served_ = 0;
-  Time busy_time_ = 0;
 };
 
 }  // namespace sim
