@@ -8,8 +8,10 @@
 //     zero degraded serves and zero unreachable queries, and every
 //     connection attempt still reaches a terminal outcome,
 //   * the event streams (event count and FNV-1a trace hash) of the smoke
-//     storm, the --churn --smoke storm (warm path) and the shard-outage
-//     storm (degraded path) are pinned.
+//     storm, the --churn --smoke storm (warm path), the shard-outage
+//     storm (degraded path), the 10k-VM storm with no batch window
+//     (pass-through misses) and the smoke storms with every local cost
+//     at zero are pinned.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -173,6 +175,41 @@ TEST(ScaleStormTest, ShardOutageEventStreamIsPinned) {
   const auto [events, hash] = traced_stream(storm_outage());
   EXPECT_EQ(events, 17627u);
   EXPECT_EQ(hash, 0x3c314a96bfa2a5ffull);
+}
+
+// A zero batch window leaves the host agents in pass-through: every leader
+// miss queries its shard directly (Controller::query_ex), with no lane,
+// and concurrent misses for one key still ride the leader's query.
+TEST(ScaleStormTest, PassThroughStormEventStreamIsPinned) {
+  fabric::ScaleConfig cfg = storm_10k();
+  cfg.batch_window = 0;
+  cfg.trace = true;
+  const fabric::ScaleReport r = fabric::run_scale_storm(cfg);
+  EXPECT_EQ(r.agent_batches, 0u);
+  EXPECT_EQ(r.coalesced, 135u);
+  EXPECT_EQ(r.sim_events, 356'684u);
+  EXPECT_EQ(r.trace_hash, 0x04a2f2624a7d52a4ull);
+}
+
+// Every local cost at zero: cache hits, the setup ladder, the warm ladder
+// and pair reuse all finish in the event that started them, so these
+// streams pin the steps that take no time at all.
+fabric::ScaleConfig zero_local_costs(fabric::ScaleConfig cfg) {
+  cfg.cache_hit_cost = 0;
+  cfg.ladder_cost = 0;
+  cfg.warm_ladder_cost = 0;
+  cfg.warm_reuse_cost = 0;
+  return cfg;
+}
+
+TEST(ScaleStormTest, ZeroCostStormEventStreamsArePinned) {
+  const auto [events, hash] = traced_stream(zero_local_costs(storm_smoke()));
+  EXPECT_EQ(events, 2448u);
+  EXPECT_EQ(hash, 0x05dfaa07ece194e4ull);
+  const auto [churn_events, churn_hash] =
+      traced_stream(zero_local_costs(storm_churn_smoke()));
+  EXPECT_EQ(churn_events, 2880u);
+  EXPECT_EQ(churn_hash, 0x9e55cc5282771054ull);
 }
 
 TEST(ScaleStormTest, ReportEchoesTopologyAndSeed) {
