@@ -293,47 +293,94 @@ class MappingCache {
   MappingCache(const MappingCache&) = delete;
   MappingCache& operator=(const MappingCache&) = delete;
 
+  // One resolution, in a record the caller owns and keeps alive until
+  // resolved() runs (DESIGN.md §12, "Lookup records"). A leader miss
+  // travels as this record: the batcher, or the pass-through query, fills
+  // `reply` or `error` and hands it back through answer().
+  struct Lookup {
+    VirtKey key;
+    Controller::QueryReply reply{};
+    std::exception_ptr error{};
+
+    // Runs once per resolve(): for an answer the cache holds, hit_cost
+    // after the lookup (inline when hit_cost <= 0); for a follower of an
+    // in-flight query, in a zero-delay event once the leader's reply
+    // lands; for the leader, inline in answer(), after its followers'
+    // wakes are scheduled. With `error` set, `r` is empty.
+    virtual void resolved(Resolution r) = 0;
+
+   protected:
+    ~Lookup() = default;
+  };
+
+  // The one resolve path. Writes the key into `lookup` and clears its
+  // slots, so a record may be reused once it has been answered.
+  void resolve(std::uint32_t vni, net::Gid vgid, Lookup& lookup);
+
+  // resolve() for coroutines: `co_await cache.resolve_ex(vni, vgid)`. The
+  // Lookup lives in the awaiting frame; an answer that comes inline does
+  // not suspend it.
+  class [[nodiscard]] Awaiter final : public Lookup {
+   public:
+    Awaiter(MappingCache& cache, VirtKey k) : cache_(cache) { key = k; }
+    Awaiter(const Awaiter&) = delete;
+    Awaiter& operator=(const Awaiter&) = delete;
+
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h) {
+      cache_.resolve(key.vni, key.vgid, *this);
+      if (answered_) return false;
+      waiter_ = h;
+      return true;
+    }
+    Resolution await_resume() const {
+      if (error) std::rethrow_exception(error);
+      return result_;
+    }
+
+   private:
+    void resolved(Resolution r) override {
+      result_ = r;
+      if (waiter_) {
+        waiter_.resume();
+      } else {
+        answered_ = true;
+      }
+    }
+
+    MappingCache& cache_;
+    std::coroutine_handle<> waiter_{};
+    Resolution result_{};
+    bool answered_ = false;
+  };
+  Awaiter resolve_ex(std::uint32_t vni, net::Gid vgid) {
+    return Awaiter(*this, VirtKey{vni, vgid});
+  }
   sim::Task<std::optional<net::Gid>> resolve(std::uint32_t vni,
                                              net::Gid vgid);
-  sim::Task<Resolution> resolve_ex(std::uint32_t vni, net::Gid vgid);
 
   // Accepts controller push-downs (pre-warming).
   void insert(std::uint32_t vni, net::Gid vgid, net::Gid pgid);
   void invalidate(std::uint32_t vni, net::Gid vgid);
 
-  // Miss-path override (HostAgent tier): when set, a leader miss suspends
-  // on a ParkedMiss that the batcher holds, instead of calling
-  // Controller::query_ex, so the agent can batch same-shard leaders onto
-  // one controller round trip. The ParkedMiss lives in the suspended
-  // resolve_ex frame; the batcher fills `reply` (or `error`), then resumes
-  // `waiter` with schedule_after(0). The reply must keep query_ex
-  // semantics (terminal, unreachable set only when the shard was down).
-  struct ParkedMiss;
+  // Miss-path override (HostAgent tier): when set, a leader miss is parked
+  // with the batcher instead of querying Controller::query_ex, so the
+  // agent can batch same-shard leaders onto one controller round trip.
+  // The batcher fills the record's `reply` (or `error`), keeping query_ex
+  // semantics (terminal, unreachable set only when the shard was down),
+  // then calls answer() from a zero-delay event of its own.
   class MissBatcher {
    public:
-    virtual void park(ParkedMiss* miss) = 0;
+    virtual void park(Lookup* miss) = 0;
 
    protected:
     ~MissBatcher() = default;
   };
-  struct ParkedMiss {
-    VirtKey key;
-    MissBatcher* batcher = nullptr;
-    std::coroutine_handle<> waiter{};
-    Controller::QueryReply reply{};
-    std::exception_ptr error{};
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      waiter = h;
-      batcher->park(this);
-    }
-    Controller::QueryReply await_resume() const {
-      if (error) std::rethrow_exception(error);
-      return reply;
-    }
-  };
   void set_miss_batcher(MissBatcher* batcher) { batcher_ = batcher; }
+  // Completes a leader miss whose `reply` or `error` is filled: installs
+  // the verdict, schedules its followers' wakes in arrival order, then
+  // answers the leader.
+  void answer(Lookup& leader);
 
   // Fault plane: consulted with the key hash before a cached entry is
   // served; returning true evicts the entry first (models expiry or
@@ -392,6 +439,10 @@ class MappingCache {
   };
 
   void on_push(std::uint32_t vni, net::Gid vgid, net::Gid pgid);
+  // Answers a lookup the cache settles itself, hit_cost_ later.
+  void serve_local(Lookup& lookup, Resolution r);
+  // Pass-through leader miss: one controller round trip, then answer().
+  static sim::Task<void> query_controller(MappingCache* self, Lookup* leader);
 
   sim::EventLoop& loop_;
   Controller& controller_;
@@ -405,10 +456,9 @@ class MappingCache {
   sim::FlatMap<VirtKey, Entry, VirtKeyHash> cache_;
   // Key -> expiry time of the "known absent" verdict.
   sim::FlatMap<VirtKey, sim::Time, VirtKeyHash> negative_;
-  // One leader query per key. The promise the followers await is created
-  // by the first follower, so a leader nobody joins allocates nothing.
-  sim::FlatMap<VirtKey, std::optional<sim::Promise<Resolution>>, VirtKeyHash>
-      inflight_;
+  // One leader query per key, with the lookups that joined it in arrival
+  // order. A leader nobody joins allocates nothing.
+  sim::FlatMap<VirtKey, std::vector<Lookup*>, VirtKeyHash> inflight_;
   // Keys invalidated while their leader query was in flight: the stale
   // result must not be installed when the leader returns.
   sim::FlatSet<VirtKey, VirtKeyHash> poisoned_;

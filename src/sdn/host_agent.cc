@@ -48,7 +48,7 @@ std::size_t HostAgent::max_lane_depth() const {
   return m;
 }
 
-void HostAgent::park(MappingCache::ParkedMiss* miss) {
+void HostAgent::park(MappingCache::Lookup* miss) {
   const std::size_t shard = controller_.shard_of(miss->key.vni, miss->key.vgid);
   Lane& lane = *lanes_[shard];
   lane.pending.push_back(miss);
@@ -71,12 +71,13 @@ void HostAgent::park(MappingCache::ParkedMiss* miss) {
 
 sim::Task<void> HostAgent::flush_lane(HostAgent* self, std::size_t shard,
                                       std::weak_ptr<const char> alive) {
-  // The loop outlives the agent; the parked frames belong to its roots.
+  // The loop outlives the agent; the parked records belong to callers.
   sim::EventLoop& loop = self->loop_;
-  // Resumes a parked miss one zero-delay event later, as a Promise wake
+  MappingCache& cache = self->cache_;
+  // Answers a parked miss one zero-delay event later, as a Promise wake
   // would.
-  auto wake = [&loop](MappingCache::ParkedMiss* m) {
-    loop.schedule_after(0, [h = m->waiter] { h.resume(); });
+  auto wake = [&loop, &cache](MappingCache::Lookup* m) {
+    loop.schedule_after(0, [&cache, m] { cache.answer(*m); });
   };
   while (true) {
     if (alive.expired()) co_return;
@@ -90,11 +91,11 @@ sim::Task<void> HostAgent::flush_lane(HostAgent* self, std::size_t shard,
     const std::size_t n =
         std::min(lane.pending.size(), self->config_.max_batch);
     const auto split = lane.pending.begin() + static_cast<std::ptrdiff_t>(n);
-    std::vector<MappingCache::ParkedMiss*> chunk(lane.pending.begin(), split);
+    std::vector<MappingCache::Lookup*> chunk(lane.pending.begin(), split);
     lane.pending.erase(lane.pending.begin(), split);
     std::vector<VirtKey> keys;
     keys.reserve(n);
-    for (const MappingCache::ParkedMiss* m : chunk) keys.push_back(m->key);
+    for (const MappingCache::Lookup* m : chunk) keys.push_back(m->key);
     ++lane.batches;
     ++self->batches_;
     self->batched_keys_ += n;
@@ -103,9 +104,9 @@ sim::Task<void> HostAgent::flush_lane(HostAgent* self, std::size_t shard,
     try {
       replies = co_await self->controller_.query_batch(shard, std::move(keys));
     } catch (...) {
-      // Propagate to every leader riding this batch; the cache's leader
-      // path forwards the exception to its followers.
-      for (MappingCache::ParkedMiss* m : chunk) {
+      // Propagate to every leader riding this batch; answer() forwards
+      // the exception to its followers.
+      for (MappingCache::Lookup* m : chunk) {
         m->error = std::current_exception();
         wake(m);
       }

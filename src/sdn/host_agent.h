@@ -65,8 +65,7 @@ class HostAgent : private MappingCache::MissBatcher {
                                              net::Gid vgid) {
     return cache_.resolve(vni, vgid);
   }
-  sim::Task<MappingCache::Resolution> resolve_ex(std::uint32_t vni,
-                                                 net::Gid vgid) {
+  MappingCache::Awaiter resolve_ex(std::uint32_t vni, net::Gid vgid) {
     return cache_.resolve_ex(vni, vgid);
   }
 
@@ -89,8 +88,9 @@ class HostAgent : private MappingCache::MissBatcher {
 
  private:
   struct Lane {
-    // Leader misses parked in their resolve_ex frames, in arrival order.
-    std::vector<MappingCache::ParkedMiss*> pending;
+    // Leader misses parked as their callers' Lookup records, in arrival
+    // order.
+    std::vector<MappingCache::Lookup*> pending;
     // One flush (scheduled or draining) at a time; also what bounds the
     // shard's service-queue depth to one entry per host.
     bool flush_active = false;
@@ -100,10 +100,11 @@ class HostAgent : private MappingCache::MissBatcher {
 
   // MappingCache::MissBatcher: parks the leader miss in its shard's lane
   // and wakes the lane's flusher.
-  void park(MappingCache::ParkedMiss* miss) override;
+  void park(MappingCache::Lookup* miss) override;
   // Drains one lane: repeated (chunk, query_batch, distribute) until the
   // lane is empty; each parked miss gets its reply and a zero-delay
-  // resume. Spawned detached; guarded by the liveness token.
+  // MappingCache::answer(). Spawned detached; guarded by the liveness
+  // token.
   static sim::Task<void> flush_lane(HostAgent* self, std::size_t shard,
                                     std::weak_ptr<const char> alive);
 
