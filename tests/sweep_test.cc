@@ -5,17 +5,20 @@
 // monotonicity, and conservation of the candidate ranking under load.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 
 #include "apps/common.h"
 #include "apps/perftest.h"
 #include "fabric/scale.h"
 #include "fabric/testbed.h"
 #include "net/topology.h"
+#include "pin_hash.h"
 
 namespace {
 
@@ -302,6 +305,68 @@ TEST(GoldenNumbersTest, CrossLeafFabricIsPinnedOnTheWire) {
     EXPECT_EQ(lat_us(p.c, apps::perftest::Op::kSend, 4096, fc),
               p.lat_4kb_us);
     EXPECT_EQ(bw_gbps(p.c, 32768, fc), p.bw_32kb_gbps);
+  }
+}
+
+// ---- every candidate's event stream, pinned to the bit -------------------
+
+// Folds one traced perftest run on a default two-instance testbed: the
+// result's bits (folded by `run`), then the events executed and the trace
+// hash.
+template <typename Run>
+std::uint64_t fold_perftest(std::uint64_t h, Candidate c, Run run) {
+  sim::EventLoop loop;
+  loop.enable_trace();
+  fabric::TestbedConfig cfg;
+  cfg.candidate = c;
+  fabric::Testbed bed(loop, cfg);
+  bed.add_instances(2);
+  bed.allow_all(100);
+  h = run(bed, h);
+  h = pin::fnv1a(h, loop.events_executed());
+  return pin::fnv1a(h, loop.trace_hash());
+}
+
+std::uint64_t fold_lat(std::uint64_t h, Candidate c,
+                       apps::perftest::LatConfig lc) {
+  return fold_perftest(h, c, [&](fabric::Testbed& bed, std::uint64_t f) {
+    const sim::Stats lat = apps::perftest::run_lat(bed, lc);
+    for (const double us : lat.samples()) {
+      f = pin::fnv1a(f, std::bit_cast<std::uint64_t>(us));
+    }
+    return f;
+  });
+}
+
+TEST(GoldenNumbersTest, PerftestStreamsArePinnedPerCandidate) {
+  // Fig. 15 is pinned only to 0.01 ms, and nothing else pins SR-IOV's
+  // stream. Per candidate: send latency at 2 B, write bandwidth over two
+  // QPs at 64 KB, and write latency at 4 KB. Recorded while Host-RDMA and
+  // SR-IOV still had a context class each.
+  const std::pair<Candidate, std::uint64_t> pins[] = {
+      {Candidate::kHostRdma, 0x17713fd5be6d09f7ull},
+      {Candidate::kSriov, 0xdb14d9c7ec61de54ull},
+      {Candidate::kFreeFlow, 0x34e82c34641303d6ull},
+      {Candidate::kMasq, 0xe835b7cc058b1d7bull},
+  };
+  for (const auto& [c, want] : pins) {
+    SCOPED_TRACE(fabric::to_string(c));
+    apps::perftest::LatConfig send;
+    send.iterations = 200;
+    std::uint64_t h = fold_lat(pin::kFnvBasis, c, send);
+    h = fold_perftest(h, c, [](fabric::Testbed& bed, std::uint64_t f) {
+      apps::perftest::BwConfig bc;
+      bc.iterations = 256;
+      bc.num_qps = 2;
+      return pin::fnv1a(
+          f, std::bit_cast<std::uint64_t>(apps::perftest::run_bw(bed, bc)));
+    });
+    apps::perftest::LatConfig write;
+    write.op = apps::perftest::Op::kWrite;
+    write.msg_size = 4096;
+    write.iterations = 100;
+    h = fold_lat(h, c, write);
+    EXPECT_EQ(h, want);
   }
 }
 
