@@ -2,9 +2,7 @@
 
 namespace baselines {
 
-namespace {
-sim::Time lib_share(sim::Time driver_cost) { return driver_cost / 9; }
-}  // namespace
+using verbs::lib_share;
 
 FfRouter::FfRouter(sim::EventLoop& loop, rnic::RnicDevice& device,
                    sdn::Controller& controller, FfCosts costs,
@@ -20,11 +18,6 @@ FreeflowContext::FreeflowContext(hyp::Container& container, FfRouter& ffr,
                                  overlay::OobEndpoint& oob)
     : container_(container), ffr_(ffr), oob_(oob) {
   ffr_.driver().set_profile(&profile_, verbs::Layer::kRdmaDriver);
-}
-
-sim::Task<void> FreeflowContext::lib_charge(const char* verb, sim::Time t) {
-  profile_.add(verb, verbs::Layer::kVerbsLib, t);
-  co_await sim::delay(loop(), t);
 }
 
 sim::Task<rnic::Expected<rnic::PdId>> FreeflowContext::alloc_pd() {
@@ -65,7 +58,7 @@ sim::Task<rnic::Expected<rnic::Qpn>> FreeflowContext::create_qp(
 sim::Task<rnic::Status> FreeflowContext::modify_qp(rnic::Qpn qpn,
                                                    const rnic::QpAttr& attr,
                                                    std::uint32_t mask) {
-  co_await lib_charge("modify_qp",
+  co_await lib_charge(verbs::modify_qp_verb(attr, mask),
                       lib_share(ffr_.driver().costs().modify_rtr));
   co_await sim::delay(loop(), ffr_.costs().modify_extra);
   rnic::QpAttr renamed = attr;

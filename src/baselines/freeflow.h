@@ -131,7 +131,6 @@ class FreeflowContext : public verbs::Context {
     bool pumping = false;
   };
 
-  sim::Task<void> lib_charge(const char* verb, sim::Time t);
   sim::Task<void> forward_send(rnic::Qpn qpn, rnic::SendWr wr);
   sim::Task<void> forward_recv(rnic::Qpn qpn, rnic::RecvWr wr);
   // Moves CQEs from the device CQ to the shadow CQ, one FFR visit each.

@@ -207,7 +207,7 @@ std::optional<std::size_t> Testbed::add_instance(
     case Candidate::kHostRdma: {
       // A bare-metal process: no VM, PF access, physical addressing.
       inst->oob = vnet_.create_endpoint(vni, inst->vip);
-      inst->ctx = std::make_unique<baselines::HostContext>(
+      inst->ctx = std::make_unique<baselines::DirectContext>(
           host, dev, *inst->oob, config_.cal.driver_costs);
       break;
     }
@@ -231,7 +231,7 @@ std::optional<std::size_t> Testbed::add_instance(
       const auto vf = static_cast<rnic::FnId>(++vf_in_use_[host_idx]);
       dev.set_fn_address(vf, inst->vip, mac, vni, /*vxlan_offload=*/true);
       inst->oob = vnet_.create_endpoint(vni, inst->vip);
-      inst->ctx = std::make_unique<baselines::SriovContext>(
+      inst->ctx = std::make_unique<baselines::DirectContext>(
           *inst->vm, dev, vf, *inst->oob, config_.cal.driver_costs);
       program_tunnels_for(*inst);
       break;

@@ -15,9 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "baselines/direct_context.h"
 #include "baselines/freeflow.h"
-#include "baselines/host_context.h"
-#include "baselines/sriov_context.h"
 #include "check/invariant.h"
 #include "fabric/calibration.h"
 #include "hyp/host.h"

@@ -283,16 +283,7 @@ sim::Task<Response> Backend::Session::handle_one(Command cmd) {
           else if constexpr (std::is_same_v<T, CmdCreateCq>) return "create_cq";
           else if constexpr (std::is_same_v<T, CmdCreateQp>) return "create_qp";
           else if constexpr (std::is_same_v<T, CmdModifyQp>) {
-            if ((c.mask & rnic::kAttrState) != 0) {
-              switch (c.attr.state) {
-                case rnic::QpState::kInit: return "modify_qp(INIT)";
-                case rnic::QpState::kRtr: return "modify_qp(RTR)";
-                case rnic::QpState::kRts: return "modify_qp(RTS)";
-                case rnic::QpState::kError: return "modify_qp(ERROR)";
-                default: return "modify_qp";
-              }
-            }
-            return "modify_qp";
+            return verbs::modify_qp_verb(c.attr, c.mask);
           }
           else if constexpr (std::is_same_v<T, CmdQueryQp>) return "query_qp";
           else if constexpr (std::is_same_v<T, CmdDestroyQp>) return "destroy_qp";

@@ -8,46 +8,7 @@
 
 namespace masq {
 
-namespace {
-// User-space library share of each verb (see verbs::kLibFraction): the
-// kernel+device costs in DriverCosts are 90% of the Table-1 totals, so the
-// lib share equals driver_cost / 9.
-sim::Time lib_share(sim::Time driver_cost) { return driver_cost / 9; }
-
-constexpr sim::Time kPostSendCpu = sim::nanoseconds(200);  // Table 1 row 11
-constexpr sim::Time kPostRecvCpu = sim::nanoseconds(200);
-constexpr sim::Time kPollCqCpu = sim::nanoseconds(30);     // Table 1 row 12
-
-// Profile label + user-space library share of a modify_qp, by target state.
-struct VerbLib {
-  const char* verb = "modify_qp";
-  sim::Time lib = 0;
-};
-
-VerbLib modify_verb_lib(const rnic::QpAttr& attr, std::uint32_t mask,
-                        const verbs::DriverCosts& costs) {
-  VerbLib out{"modify_qp", lib_share(costs.modify_rtr)};
-  if (mask & rnic::kAttrState) {
-    switch (attr.state) {
-      case rnic::QpState::kInit:
-        out = {"modify_qp(INIT)", lib_share(costs.modify_init)};
-        break;
-      case rnic::QpState::kRtr:
-        out = {"modify_qp(RTR)", lib_share(costs.modify_rtr)};
-        break;
-      case rnic::QpState::kRts:
-        out = {"modify_qp(RTS)", lib_share(costs.modify_rts)};
-        break;
-      case rnic::QpState::kError:
-        out = {"modify_qp(ERROR)", lib_share(costs.modify_rtr)};
-        break;
-      default:
-        break;
-    }
-  }
-  return out;
-}
-}  // namespace
+using verbs::lib_share;
 
 MasqContext::MasqContext(Backend::Session& session, overlay::OobEndpoint& oob,
                          virtio::ChannelCosts virtio_costs)
@@ -172,11 +133,6 @@ sim::Task<void> MasqContext::discard_warm(const verbs::WarmEndpoint& ep) {
 
 void MasqContext::invalidate_warm(const net::Gid& peer_gid) {
   if (warm_pool_) warm_pool_->invalidate(peer_gid);
-}
-
-sim::Task<void> MasqContext::lib_charge(const char* verb, sim::Time t) {
-  profile_.add(verb, verbs::Layer::kVerbsLib, t);
-  co_await sim::delay(loop(), t);
 }
 
 sim::Task<Response> MasqContext::call(const char* verb, sim::Time lib_time,
@@ -306,8 +262,9 @@ sim::Task<rnic::Status> MasqContext::modify_qp(rnic::Qpn qpn,
                                                const rnic::QpAttr& attr,
                                                std::uint32_t mask) {
   const auto& costs = session_->backend().config().driver_costs;
-  const VerbLib vl = modify_verb_lib(attr, mask, costs);
-  Response r = co_await call(vl.verb, vl.lib, CmdModifyQp{qpn, attr, mask});
+  Response r = co_await call(verbs::modify_qp_verb(attr, mask),
+                             verbs::modify_qp_lib(attr, mask, costs),
+                             CmdModifyQp{qpn, attr, mask});
   co_return r.status;
 }
 
@@ -452,19 +409,17 @@ class MasqBatch final : public verbs::ControlBatch {
 
   int modify_qp(rnic::Qpn qpn, const rnic::QpAttr& attr,
                 std::uint32_t mask) override {
-    const VerbLib vl = modify_verb_lib(attr, mask, costs());
     Meta m;
-    m.verb = vl.verb;
-    m.lib = vl.lib;
+    m.verb = verbs::modify_qp_verb(attr, mask);
+    m.lib = verbs::modify_qp_lib(attr, mask, costs());
     return push(CmdModifyQp{qpn, attr, mask}, BatchLink{}, m);
   }
 
   int modify_qp_slot(int qp_slot, const rnic::QpAttr& attr,
                      std::uint32_t mask) override {
-    const VerbLib vl = modify_verb_lib(attr, mask, costs());
     Meta m;
-    m.verb = vl.verb;
-    m.lib = vl.lib;
+    m.verb = verbs::modify_qp_verb(attr, mask);
+    m.lib = verbs::modify_qp_lib(attr, mask, costs());
     BatchLink link;
     link.qpn_from = qp_slot;
     return push(CmdModifyQp{0, attr, mask}, link, m);
@@ -715,15 +670,6 @@ class MasqBatch final : public verbs::ControlBatch {
 
 std::unique_ptr<verbs::ControlBatch> MasqContext::make_batch() {
   return std::make_unique<MasqBatch>(*this);
-}
-
-sim::Time MasqContext::data_verb_call_time(verbs::DataVerb v) const {
-  switch (v) {
-    case verbs::DataVerb::kPostSend: return kPostSendCpu;
-    case verbs::DataVerb::kPostRecv: return kPostRecvCpu;
-    case verbs::DataVerb::kPollCq: return kPollCqCpu;
-  }
-  return 0;
 }
 
 }  // namespace masq

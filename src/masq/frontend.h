@@ -72,7 +72,6 @@ class MasqContext : public verbs::Context {
   sim::Future<bool> next_rx_event(rnic::Qpn qpn) override {
     return session_->backend().device().next_rx_event(qpn);
   }
-  sim::Time data_verb_call_time(verbs::DataVerb v) const override;
 
   overlay::OobEndpoint& oob() override { return oob_; }
   sim::Time scale_compute(sim::Time host_time) const override {
@@ -129,8 +128,6 @@ class MasqContext : public verbs::Context {
   friend class MasqBatch;
   using CallOutcome = virtio::Virtqueue<Envelope, Response>::CallOutcome;
 
-  // Charges the user-space library share of a verb and records it.
-  sim::Task<void> lib_charge(const char* verb, sim::Time t);
   // A solo verb: lib charge + virtqueue round trip + backend handling of a
   // batch of one (with retries). Returns the entry's response, or the
   // envelope's status when the batch never completed.

@@ -45,12 +45,23 @@ std::vector<std::string> LayerProfile::verbs() const {
   return out;
 }
 
+const char* modify_qp_verb(const rnic::QpAttr& attr, std::uint32_t mask) {
+  if ((mask & rnic::kAttrState) == 0) return "modify_qp";
+  switch (attr.state) {
+    case rnic::QpState::kInit: return "modify_qp(INIT)";
+    case rnic::QpState::kRtr: return "modify_qp(RTR)";
+    case rnic::QpState::kRts: return "modify_qp(RTS)";
+    case rnic::QpState::kError: return "modify_qp(ERROR)";
+    default: return "modify_qp";
+  }
+}
+
 namespace {
 
 // Default ControlBatch: replays the queued entries one by one through the
 // plain virtual verbs at commit() time. Semantics intentionally mirror the
-// backend's batch drain (masq/backend.cc): in order, error-independent,
-// broken slot dependencies fail with kInvalidArgument without executing.
+// backend's batch drain (masq/backend.cc): in order, error-independent, an
+// entry whose dependency failed inherits its status without executing.
 class SequentialBatch final : public ControlBatch {
  public:
   explicit SequentialBatch(Context& ctx) : ctx_(ctx) {}
@@ -153,14 +164,14 @@ class SequentialBatch final : public ControlBatch {
     return static_cast<int>(ops_.size()) - 1;
   }
 
-  // Reads an earlier slot's value; fails if the slot is invalid (forward /
-  // out of range) or its entry failed.
+  // Reads an earlier slot's value. An invalid slot (forward / out of
+  // range) fails kInvalidArgument; a failed entry passes its status on.
   rnic::Status fetch(int slot, std::size_t self, std::uint64_t* out) const {
     if (slot < 0 || static_cast<std::size_t>(slot) >= self) {
       return rnic::Status::kInvalidArgument;
     }
     if (results_[slot].status != rnic::Status::kOk) {
-      return rnic::Status::kInvalidArgument;
+      return results_[slot].status;
     }
     *out = results_[slot].value;
     return rnic::Status::kOk;
@@ -254,6 +265,22 @@ sim::Task<void> Context::discard_warm(const WarmEndpoint& ep) {
 }
 
 void Context::invalidate_warm(const net::Gid& peer_gid) { (void)peer_gid; }
+
+sim::Time Context::data_verb_call_time(DataVerb v) const {
+  switch (v) {
+    case DataVerb::kPostSend:
+    case DataVerb::kPostRecv:
+      return sim::nanoseconds(200);
+    case DataVerb::kPollCq:
+      return sim::nanoseconds(30);
+  }
+  return 0;
+}
+
+sim::Task<void> Context::lib_charge(const char* verb, sim::Time t) {
+  profile_.add(verb, Layer::kVerbsLib, t);
+  co_await sim::delay(loop(), t);
+}
 
 sim::Task<rnic::Completion> Context::wait_completion(rnic::Cqn cq) {
   while (true) {

@@ -56,6 +56,12 @@ class LayerProfile {
   std::map<std::string, std::array<sim::Time, kNumLayers>> data_;
 };
 
+// The one profile label of a modify_qp, by target state: "modify_qp(INIT)",
+// "modify_qp(RTR)", "modify_qp(RTS)", "modify_qp(ERROR)", or "modify_qp"
+// for a modify to any other state or without a state change. Every layer
+// files its share of one modify under this label.
+const char* modify_qp_verb(const rnic::QpAttr& attr, std::uint32_t mask);
+
 struct MrHandle {
   rnic::Key lkey = 0;
   rnic::Key rkey = 0;
@@ -118,7 +124,8 @@ struct WarmEndpoint {
 //   * entries run in submission order;
 //   * every entry runs even if an earlier one failed ("error
 //     independence") — except entries whose declared slot dependency
-//     failed, which fail with kInvalidArgument without executing;
+//     failed, which inherit the dependency's status without executing;
+//     a forward or out-of-range slot fails with kInvalidArgument;
 //   * commit() returns the first per-entry error (kOk if none) and
 //     per-slot results stay queryable afterwards.
 // ---------------------------------------------------------------------------
@@ -204,8 +211,10 @@ class Context {
   // RDMA-writes into (ib_write_lat's detection loop).
   virtual sim::Future<bool> next_rx_event(rnic::Qpn qpn) = 0;
 
-  // Advertised per-call CPU cost of each data-path verb (Fig. 8b).
-  virtual sim::Time data_verb_call_time(DataVerb v) const = 0;
+  // Advertised per-call CPU cost of each data-path verb (Fig. 8b). The
+  // default is the hardware data path's: 200 ns to post (Table 1 row 11),
+  // 30 ns to poll (row 12).
+  virtual sim::Time data_verb_call_time(DataVerb v) const;
 
   // --- pipelined control path ---------------------------------------------
   // Begin a control-verb batch (see ControlBatch above). The default
@@ -258,6 +267,9 @@ class Context {
   LayerProfile& profile() { return profile_; }
 
  protected:
+  // Charges `t` of user-space library time to `verb` and suspends for it.
+  sim::Task<void> lib_charge(const char* verb, sim::Time t);
+
   LayerProfile profile_;
 };
 

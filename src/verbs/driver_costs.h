@@ -7,12 +7,20 @@
 // of the accounting.
 #pragma once
 
+#include <cstdint>
+
+#include "rnic/types.h"
 #include "sim/time.h"
 
 namespace verbs {
 
 // Fraction of each Table-1 verb time spent in the user-space library.
 inline constexpr double kLibFraction = 0.10;
+
+// User-space library share of a verb whose kernel+device cost is
+// `driver_cost`: the driver costs are 90% of the Table-1 totals, so the
+// library's 10% equals driver_cost / 9.
+inline sim::Time lib_share(sim::Time driver_cost) { return driver_cost / 9; }
 
 struct DriverCosts {
   // Derived as Table-1 host value x (1 - kLibFraction), in microseconds.
@@ -45,5 +53,16 @@ struct DriverCosts {
   // 1.9 ms through a VF for the same verb sequence.
   double vf_factor = 2.5;
 };
+
+// Library share of a modify_qp: a move to INIT or RTS is priced by that
+// transition's driver cost, every other modify by RTR's.
+inline sim::Time modify_qp_lib(const rnic::QpAttr& attr, std::uint32_t mask,
+                               const DriverCosts& costs) {
+  if ((mask & rnic::kAttrState) != 0) {
+    if (attr.state == rnic::QpState::kInit) return lib_share(costs.modify_init);
+    if (attr.state == rnic::QpState::kRts) return lib_share(costs.modify_rts);
+  }
+  return lib_share(costs.modify_rtr);
+}
 
 }  // namespace verbs

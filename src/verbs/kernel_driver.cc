@@ -83,30 +83,22 @@ sim::Task<rnic::Expected<rnic::Qpn>> KernelDriver::create_qp(
 sim::Task<rnic::Status> KernelDriver::modify_qp(rnic::Qpn qpn,
                                                 const rnic::QpAttr& attr,
                                                 std::uint32_t mask) {
+  const char* verb = modify_qp_verb(attr, mask);
   sim::Time cost = 0;
-  const char* verb = "modify_qp";
   if (mask & rnic::kAttrState) {
     switch (attr.state) {
       case rnic::QpState::kInit:
-        verb = "modify_qp(INIT)";
         cost = costs_.modify_init;
         break;
-      case rnic::QpState::kRtr:
-        verb = "modify_qp(RTR)";
-        cost = costs_.modify_rtr;
-        break;
       case rnic::QpState::kRts:
-        verb = "modify_qp(RTS)";
         cost = costs_.modify_rts;
         break;
       case rnic::QpState::kError:
         // Fig. 18: kernel routine + RNIC processing (drain-dependent).
-        verb = "modify_qp(ERROR)";
         cost = costs_.modify_error_kernel +
                device_.qp_error_processing_time(qpn);
         break;
-      default:
-        verb = "modify_qp(other)";
+      default:  // RTR, and any other state at RTR's cost
         cost = costs_.modify_rtr;
         break;
     }

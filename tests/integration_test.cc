@@ -126,6 +126,48 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
+TEST_P(CandidateTest, BatchDependentInheritsItsDependencysStatus) {
+  // create_qp fails kNotFound on a PD that does not exist. The modify
+  // linked to it carries that status, not kInvalidArgument, on every
+  // candidate (DESIGN.md §9).
+  struct Flow {
+    static sim::Task<void> run(verbs::Context& ctx) {
+      EXPECT_TRUE((co_await ctx.alloc_pd()).ok());
+      auto batch = ctx.make_batch();
+      const int cq = batch->create_cq(16);
+      rnic::QpInitAttr init;
+      init.pd = 0xdead;
+      init.caps.max_send_wr = 16;
+      init.caps.max_recv_wr = 16;
+      const int qp = batch->create_qp(init, cq, cq);
+      rnic::QpAttr attr;
+      attr.state = rnic::QpState::kInit;
+      const int dep = batch->modify_qp_slot(qp, attr, rnic::kAttrState);
+      EXPECT_EQ(co_await batch->commit(), rnic::Status::kNotFound);
+      EXPECT_EQ(batch->status(cq), rnic::Status::kOk);
+      EXPECT_EQ(batch->status(qp), rnic::Status::kNotFound);
+      EXPECT_EQ(batch->status(dep), rnic::Status::kNotFound);
+    }
+  };
+  RUN_SIM(loop_, Flow::run(bed_->ctx(0)));
+}
+
+TEST_P(CandidateTest, EachModifyIsOneProfileRowAcrossLayers) {
+  // Every layer files its share of a modify under one label, so each
+  // modify_qp row a connect leaves holds library and driver time both.
+  Pair p;
+  RUN_SIM(loop_, establish(*bed_, &p));
+  const verbs::LayerProfile& prof = bed_->ctx(0).profile();
+  int rows = 0;
+  for (const std::string& verb : prof.verbs()) {
+    if (verb.rfind("modify_qp", 0) != 0) continue;
+    ++rows;
+    EXPECT_GT(prof.by_layer(verb, verbs::Layer::kVerbsLib), 0) << verb;
+    EXPECT_GT(prof.by_layer(verb, verbs::Layer::kRdmaDriver), 0) << verb;
+  }
+  EXPECT_EQ(rows, 3);  // INIT, RTR, RTS
+}
+
 // ---------------------------------------------------------------- MasQ-only
 
 class MasqTest : public ::testing::Test {
