@@ -10,8 +10,8 @@
 //   * the event streams (event count and FNV-1a trace hash) of the smoke
 //     storm, the --churn --smoke storm (warm path), the shard-outage
 //     storm (degraded path), the 10k-VM storm with no batch window
-//     (pass-through misses) and the smoke storms with every local cost
-//     at zero are pinned.
+//     (pass-through misses), the smoke storms with every local cost
+//     at zero and the smoke storms with no start jitter are pinned.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -210,6 +210,32 @@ TEST(ScaleStormTest, ZeroCostStormEventStreamsArePinned) {
       traced_stream(zero_local_costs(storm_churn_smoke()));
   EXPECT_EQ(churn_events, 2880u);
   EXPECT_EQ(churn_hash, 0x9e55cc5282771054ull);
+}
+
+// No spread: every wave-0 connect starts at t=0, inside the t=0 event that
+// launches it, and each later wave's starts all tie at the wave's time.
+// With no wave gap either, every connect, IP change and rule reset starts
+// at t=0, and the IP changes race the connects to their peers (75 of them
+// find no mapping).
+TEST(ScaleStormTest, UnjitteredStormEventStreamsArePinned) {
+  fabric::ScaleConfig cfg = storm_smoke();
+  cfg.spread = 0;
+  const auto [events, hash] = traced_stream(cfg);
+  EXPECT_EQ(events, 1725u);
+  EXPECT_EQ(hash, 0x358b39e79f7a04afull);
+
+  cfg.wave_gap = 0;
+  cfg.trace = true;
+  const fabric::ScaleReport r = fabric::run_scale_storm(cfg);
+  EXPECT_EQ(r.not_found, 75u);
+  EXPECT_EQ(r.sim_events, 1285u);
+  EXPECT_EQ(r.trace_hash, 0xbe72373e51fb0699ull);
+
+  fabric::ScaleConfig churn = storm_churn_smoke();
+  churn.spread = 0;
+  const auto [churn_events, churn_hash] = traced_stream(churn);
+  EXPECT_EQ(churn_events, 5157u);
+  EXPECT_EQ(churn_hash, 0xb716a3232cc52a24ull);
 }
 
 TEST(ScaleStormTest, ReportEchoesTopologyAndSeed) {
