@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 
 #include "fabric/storm_schedule.h"
 #include "fabric/traffic.h"
@@ -148,21 +151,6 @@ struct Driver {
     }
   }
 
-  // Runs `fn` at virtual time `when` through two plain callbacks taking
-  // the seqs that spawning a coroutine at t=0 and its opening
-  // `co_await delay(when)` took. The t=0 hop exists only to keep those
-  // pinned seqs.
-  template <typename F>
-  void at(sim::Time when, F fn) {
-    loop.schedule_after(0, [this, when, fn]() mutable {
-      after(when, std::move(fn));
-    });
-  }
-
-  void launch(const storm::StormSchedule::Conn& c) {
-    at(c.start, [this, src = c.src, dst = c.dst] { connect(src, dst); });
-  }
-
   // Parks the pair's RTS QP warm for the reuse TTL.
   void keep_warm(std::uint64_t pair, std::uint32_t dst_gen) {
     parked.insert_or_assign(
@@ -269,6 +257,163 @@ void Attempt::resolved(sdn::MappingCache::Resolution res) {
   }
 }
 
+// Feeds the schedule's wave connects, IP changes and rule resets to the
+// loop as one sim::EventSource (DESIGN.md §13, "Starts as a source"),
+// with the (time, seq) keys that launching each entry as two scheduled
+// hops gave them. Entry k, in schedule order (wave connects, IP changes,
+// rule resets), is two events:
+//   * a hop at the clock, keyed by the k-th seq of the block the feed
+//     takes when it is built, where the launches took their hops' seqs;
+//   * its start, at the clock plus the entry's time, keyed by the seq the
+//     loop hands out when the hop runs, as Driver::after took it. A start
+//     at t <= 0 runs inline in its hop and takes no seq.
+// Every hop runs before every start, so starts of equal time run in hop
+// order. A pending start costs a 4-byte seq offset and a 4-byte slot in
+// the order, not a 96-byte event node.
+class StartFeed final : public sim::EventSource {
+ public:
+  StartFeed(Driver& d, const storm::StormSchedule& s)
+      : d_(d),
+        s_(s),
+        ips_from_(count32(s.wave_conns.size())),
+        resets_from_(count32(s.wave_conns.size() + s.ip_changes.size())),
+        entries_(count32(s.wave_conns.size() + s.ip_changes.size() +
+                         s.reset_conns.size())),
+        clock_(d.loop.now()),
+        first_seq_(d.loop.take_seqs(entries_)),
+        seq_off_(entries_) {
+    // Group the entries that start after the clock by time slot, in entry
+    // order (a counting sort). Slots are one level-1 slot of the wheel
+    // wide, widened until there are no more slots than entries.
+    sim::Time last = 0;
+    each_start([&](std::uint32_t, sim::Time when) {
+      last = std::max(last, when);
+    });
+    while ((last >> slot_shift_) > static_cast<sim::Time>(entries_)) {
+      ++slot_shift_;
+    }
+    slot_end_.assign(static_cast<std::size_t>(last >> slot_shift_) + 1, 0);
+    each_start([&](std::uint32_t, sim::Time when) {
+      if (when > 0) ++slot_end_[slot_of(when)];
+    });
+    std::uint32_t begin = 0;
+    for (std::uint32_t& end : slot_end_) {
+      const std::uint32_t n = end;
+      end = begin;
+      begin += n;
+    }
+    order_.resize(begin);
+    // Each slot's end advances from its begin to its end.
+    each_start([&](std::uint32_t k, sim::Time when) {
+      if (when > 0) order_[slot_end_[slot_of(when)]++] = k;
+    });
+    if (entries_ > 0) set_head(clock_, first_seq_);
+  }
+
+  void fire() override {
+    if (next_hop_ == entries_) {  // a start
+      const std::uint32_t k = slot_[pos_++].second;
+      show_next_start();
+      run(k);
+      return;
+    }
+    const std::uint32_t k = next_hop_++;  // a hop
+    const sim::Time when = start_of(k);
+    if (when > 0) {
+      const std::uint64_t off = d_.loop.take_seqs(1) - first_seq_;
+      if (off > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::length_error("storm: start seq past the feed's range");
+      }
+      seq_off_[k] = static_cast<std::uint32_t>(off);
+    }
+    if (next_hop_ < entries_) {
+      set_head(clock_, first_seq_ + next_hop_);
+    } else {
+      show_next_start();
+    }
+    if (when <= 0) run(k);
+  }
+
+ private:
+  static std::uint32_t count32(std::size_t n) {
+    if (n > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("storm: more schedule entries than 2^32");
+    }
+    return static_cast<std::uint32_t>(n);
+  }
+
+  // Calls f(k, start) for every entry k, in entry order.
+  template <typename F>
+  void each_start(F f) const {
+    std::uint32_t k = 0;
+    for (const auto& c : s_.wave_conns) f(k++, c.start);
+    for (const auto& ch : s_.ip_changes) f(k++, ch.when);
+    for (const auto& c : s_.reset_conns) f(k++, c.start);
+  }
+
+  sim::Time start_of(std::uint32_t k) const {
+    if (k < ips_from_) return s_.wave_conns[k].start;
+    if (k < resets_from_) return s_.ip_changes[k - ips_from_].when;
+    return s_.reset_conns[k - resets_from_].start;
+  }
+
+  std::size_t slot_of(sim::Time when) const {
+    return static_cast<std::size_t>(when >> slot_shift_);
+  }
+
+  void run(std::uint32_t k) {
+    if (k < ips_from_) {
+      d_.connect(s_.wave_conns[k].src, s_.wave_conns[k].dst);
+    } else if (k < resets_from_) {
+      d_.ip_change(s_.ip_changes[k - ips_from_].vm);
+    } else {
+      const storm::StormSchedule::Conn& c = s_.reset_conns[k - resets_from_];
+      d_.connect(c.src, c.dst);
+    }
+  }
+
+  // Shows the earliest start not yet run, ordering the next nonempty slot
+  // by (start, entry) when the current one is used up.
+  void show_next_start() {
+    while (pos_ == slot_.size()) {
+      if (next_slot_ == slot_end_.size()) {
+        set_head(kDone, 0);
+        return;
+      }
+      const std::uint32_t from =
+          next_slot_ == 0 ? 0 : slot_end_[next_slot_ - 1];
+      const std::uint32_t to = slot_end_[next_slot_++];
+      slot_.clear();
+      pos_ = 0;
+      for (std::uint32_t i = from; i < to; ++i) {
+        slot_.emplace_back(start_of(order_[i]), order_[i]);
+      }
+      std::sort(slot_.begin(), slot_.end());
+    }
+    const auto [when, k] = slot_[pos_];
+    set_head(clock_ + when, first_seq_ + seq_off_[k]);
+  }
+
+  Driver& d_;
+  const storm::StormSchedule& s_;
+  const std::uint32_t ips_from_;     // first IP-change entry
+  const std::uint32_t resets_from_;  // first rule-reset entry
+  const std::uint32_t entries_;
+  const sim::Time clock_;         // the hops' time
+  const std::uint64_t first_seq_;  // the hop block's first seq
+  std::uint32_t next_hop_ = 0;
+  std::vector<std::uint32_t> seq_off_;  // entry -> start seq - first_seq_
+  // Entries that start after the clock, slot by slot; slot i ends at
+  // order_[slot_end_[i]].
+  int slot_shift_ = sim::ReadyQueue::kHorizonShift;
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> slot_end_;
+  std::size_t next_slot_ = 0;
+  // The slot being run, as (start, entry) in (time, seq) order.
+  std::vector<std::pair<sim::Time, std::uint32_t>> slot_;
+  std::size_t pos_ = 0;
+};
+
 }  // namespace
 
 ScaleReport run_scale_storm(const ScaleConfig& cfg) {
@@ -280,14 +425,11 @@ ScaleReport run_scale_storm(const ScaleConfig& cfg) {
   // The whole schedule — peers, jitters, churn times — is drawn up front
   // from one seeded stream, in one deterministic order; nothing consumes
   // randomness while the loop runs, so the event stream cannot depend on
-  // interleaving. Launch order matches the schedule's vector order exactly
+  // interleaving. The feed runs the entries in the schedule's vector order
   // (it is the same-timestamp tie-break).
   const storm::StormSchedule sched = storm::StormSchedule::draw(cfg);
-  for (const auto& c : sched.wave_conns) d.launch(c);
-  for (const auto& ch : sched.ip_changes) {
-    d.at(ch.when, [&d, vm = ch.vm] { d.ip_change(vm); });
-  }
-  for (const auto& c : sched.reset_conns) d.launch(c);
+  StartFeed feed(d, sched);
+  d.loop.attach(feed);
   if (cfg.down_shard >= 0) {
     d.loop.spawn(Driver::shard_down(
         &d, static_cast<std::size_t>(cfg.down_shard) % cfg.shards,

@@ -100,6 +100,15 @@ TEST(EventLoopTest, PastEventsClampToNow) {
 // horizon, inside the level-1 span, beyond it and in the past; absolute
 // times on a coarse grid make distinct events tie; run_until deadlines
 // interleave with pushes from outside any event.
+//
+// Once per program an EventSource joins, shaped like the storm's start
+// feed (fabric/scale.cc): hops at the clock keyed by one block of seqs
+// taken when it is attached, each of which runs its entry inline or keys
+// the entry's start by a seq taken when the hop runs. The reference
+// pushes the same keys. Hops tie at the clock with events scheduled before
+// them (lower seqs) and after them (higher seqs), and starts tie on the
+// grid with scheduled events either way, so the merge must break ties by
+// seq.
 
 constexpr sim::Time kBucket = sim::ReadyQueue::kBucketWidth;
 constexpr sim::Time kHorizon = sim::ReadyQueue::kHorizon;
@@ -125,9 +134,11 @@ sim::Time random_delay(sim::Rng& rng) {
   }
 }
 
-// A grid time over the first ~16 ms; often in the past (clamped to now).
+// A grid time over the first ~16 ms, or 1 ns before one, at the end of a
+// wheel bucket; often in the past (clamped to now).
 sim::Time random_grid_time(sim::Rng& rng) {
-  return static_cast<sim::Time>(rng.next_below(64)) * (kHorizon / 4);
+  return static_cast<sim::Time>(rng.next_below(64)) * (kHorizon / 4) -
+         static_cast<sim::Time>(rng.next_below(2));
 }
 
 template <typename S>
@@ -153,12 +164,73 @@ void fire(S& s, int id) {
   }
 }
 
+// A feed's entries: entry j has id ids[j] and starts `offsets[j]` after
+// the clock at attach; an offset <= 0 runs it inline in its hop. Hop j
+// logs itself as id -1 - j.
+struct FeedEntries {
+  sim::Time clock = 0;
+  std::vector<sim::Time> offsets;
+  std::vector<int> ids;
+};
+
+template <typename S>
+FeedEntries draw_feed(S& s, sim::Rng& rng) {
+  FeedEntries f;
+  f.clock = s.now();
+  const std::uint64_t n = 8 + rng.next_below(40);
+  for (std::uint64_t j = 0; j < n; ++j) {
+    f.offsets.push_back(
+        rng.next_bool(0.25)
+            ? std::max<sim::Time>(random_grid_time(rng) - s.now(), 0)
+            : random_delay(rng));
+    f.ids.push_back(s.next_id++);
+  }
+  return f;
+}
+
+constexpr int hop_id(std::size_t j) { return -1 - static_cast<int>(j); }
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ull;
+}
+
+struct LoopSched;
+
+// The feed as an EventSource, its pending starts in a (t, seq) heap.
+class LoopFeed final : public sim::EventSource {
+ public:
+  LoopFeed(LoopSched& s, FeedEntries f);
+  void fire() override;
+
+ private:
+  struct Start {
+    sim::Time t;
+    std::uint64_t seq;
+    int id;
+    bool operator>(const Start& o) const {
+      return std::tie(t, seq) > std::tie(o.t, o.seq);
+    }
+  };
+  void show_next();
+
+  LoopSched& s_;
+  FeedEntries f_;
+  std::uint64_t first_seq_;
+  std::size_t next_hop_ = 0;
+  std::priority_queue<Start, std::vector<Start>, std::greater<>> starts_;
+};
+
 struct LoopSched {
-  explicit LoopSched(std::uint64_t sd) : seed(sd) {}
+  explicit LoopSched(std::uint64_t sd) : seed(sd) {
+    loop.enable_trace();
+    loop.set_audit_hook(1, [this] { ++audits; });
+  }
   sim::EventLoop loop;
   std::uint64_t seed;
   int next_id = 0;
   Trace trace;
+  std::unique_ptr<LoopFeed> feed;
+  std::uint64_t audits = 0;
 
   sim::Time now() const { return loop.now(); }
   void at(sim::Time t, int id) {
@@ -167,9 +239,49 @@ struct LoopSched {
   void after(sim::Time d, int id) {
     loop.schedule_after(d, [this, id] { fire(*this, id); });
   }
+  void attach(FeedEntries f) {
+    feed = std::make_unique<LoopFeed>(*this, std::move(f));
+    loop.attach(*feed);
+  }
   void run_until(sim::Time t) { loop.run_until(t); }
   void run() { loop.run(); }
+  std::uint64_t executed() const { return loop.events_executed(); }
+  std::uint64_t hash() const { return loop.trace_hash(); }
 };
+
+LoopFeed::LoopFeed(LoopSched& s, FeedEntries f)
+    : s_(s),
+      f_(std::move(f)),
+      first_seq_(s.loop.take_seqs(f_.ids.size())) {
+  show_next();
+}
+
+void LoopFeed::fire() {
+  if (next_hop_ == f_.ids.size()) {
+    const Start st = starts_.top();
+    starts_.pop();
+    show_next();
+    ::fire(s_, st.id);
+    return;
+  }
+  const std::size_t j = next_hop_++;
+  s_.trace.emplace_back(hop_id(j), s_.now());
+  if (f_.offsets[j] > 0) {
+    starts_.push({f_.clock + f_.offsets[j], s_.loop.take_seqs(1), f_.ids[j]});
+  }
+  show_next();
+  if (f_.offsets[j] <= 0) ::fire(s_, f_.ids[j]);
+}
+
+void LoopFeed::show_next() {
+  if (next_hop_ < f_.ids.size()) {
+    set_head(f_.clock, first_seq_ + next_hop_);
+  } else if (!starts_.empty()) {
+    set_head(starts_.top().t, starts_.top().seq);
+  } else {
+    set_head(kDone, 0);
+  }
+}
 
 struct ReferenceSched {
   struct Event {
@@ -187,15 +299,37 @@ struct ReferenceSched {
   std::uint64_t seed;
   int next_id = 0;
   Trace trace;
+  FeedEntries feed;
+  std::uint64_t events = 0;
+  std::uint64_t trace_hash = 0xcbf29ce484222325ull;
 
   sim::Time now() const { return clock; }
   void at(sim::Time t, int id) { queue.push({std::max(t, clock), seq++, id}); }
   void after(sim::Time d, int id) { at(clock + std::max<sim::Time>(d, 0), id); }
+  void attach(FeedEntries f) {
+    feed = std::move(f);
+    for (std::size_t j = 0; j < feed.ids.size(); ++j) {
+      queue.push({clock, seq++, hop_id(j)});
+    }
+  }
   void step() {
     const Event e = queue.top();
     queue.pop();
     clock = e.t;
-    fire(*this, e.id);
+    ++events;
+    trace_hash = fnv_mix(fnv_mix(trace_hash, static_cast<std::uint64_t>(e.t)),
+                         e.seq);
+    if (e.id >= 0) {
+      fire(*this, e.id);
+      return;
+    }
+    const std::size_t j = static_cast<std::size_t>(-1 - e.id);
+    trace.emplace_back(e.id, clock);
+    if (feed.offsets[j] > 0) {
+      queue.push({feed.clock + feed.offsets[j], seq++, feed.ids[j]});
+    } else {
+      fire(*this, feed.ids[j]);
+    }
   }
   void run_until(sim::Time t) {
     if (t < clock) return;
@@ -205,19 +339,27 @@ struct ReferenceSched {
   void run() {
     while (!queue.empty()) step();
   }
+  std::uint64_t executed() const { return events; }
+  std::uint64_t hash() const { return trace_hash; }
 };
 
 template <typename S>
 void drive(S& s) {
   sim::Rng rng(s.seed);
   for (int i = 0; i < 64; ++i) schedule_random(s, rng);
+  // The feed joins before one of the rounds, or after the last.
+  const std::uint64_t feed_round = rng.next_below(13);
   for (int round = 0; round < 12; ++round) {
+    if (static_cast<std::uint64_t>(round) == feed_round) {
+      s.attach(draw_feed(s, rng));
+    }
     // Deadlines on the grid or relative to the clock: some exactly at
     // event times, some behind the clock (a no-op).
     s.run_until(rng.next_bool(0.5) ? random_grid_time(rng)
                                    : s.now() + random_delay(rng));
     for (int i = 0; i < 8; ++i) schedule_random(s, rng);
   }
+  if (feed_round == 12) s.attach(draw_feed(s, rng));
   s.run();
 }
 
@@ -234,8 +376,33 @@ TEST(EventLoopPropertyTest, PopsThePriorityQueueStreamOverHundredSeeds) {
         << "seed " << seed << ": streams diverge at event #"
         << (a - real.trace.begin()) << " of " << ref.trace.size();
     EXPECT_EQ(real.now(), ref.now()) << "seed " << seed;
-    EXPECT_EQ(real.loop.events_executed(), ref.trace.size());
+    EXPECT_EQ(real.executed(), ref.executed()) << "seed " << seed;
+    EXPECT_EQ(real.hash(), ref.hash()) << "seed " << seed;
+    EXPECT_EQ(real.audits, real.executed()) << "seed " << seed;
+    EXPECT_TRUE(real.loop.empty()) << "seed " << seed;
   }
+}
+
+// A source alone keeps the loop busy: empty() sees it, run_until stops at
+// its deadline, and the loop lets go of it once it is done.
+TEST(EventLoopTest, SourceRunsLikeScheduledEvents) {
+  LoopSched s(1);
+  FeedEntries f;
+  f.offsets = {0, 30, 10, 10};
+  f.ids = {0, 1, 2, 3};
+  s.next_id = 4;
+  s.attach(std::move(f));
+  EXPECT_FALSE(s.loop.empty());
+  s.run_until(10);
+  // Four hops at t=0 (hop 0 runs entry 0 inline), then entries 2 and 3,
+  // which tie at t=10 in hop order.
+  ASSERT_GE(s.trace.size(), 7u);
+  EXPECT_EQ(s.trace[0], std::make_pair(hop_id(0), sim::Time{0}));
+  EXPECT_EQ(s.trace[1].first, 0);
+  EXPECT_EQ(s.now(), 10);
+  s.run();
+  EXPECT_TRUE(s.loop.empty());
+  EXPECT_EQ(s.audits, s.executed());
 }
 
 // ---- inline-start spawn ----------------------------------------------------
