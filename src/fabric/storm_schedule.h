@@ -43,14 +43,15 @@ inline net::Gid pgid_of_host(std::size_t h) {
 // connections, then IP changes, then rule resets); the vectors are in
 // spawn order, which is also the engine's tie-break order for
 // same-timestamp events.
+// VM ids are 32-bit, as in gid_of.
 struct StormSchedule {
   struct Conn {
-    std::size_t src;
-    std::size_t dst;
+    std::uint32_t src;
+    std::uint32_t dst;
     sim::Time start;
   };
   struct IpChange {
-    std::size_t vm;
+    std::uint32_t vm;
     sim::Time when;
   };
 

@@ -29,6 +29,7 @@ void AddressSpace::map(Addr va, Addr lower_addr, Addr len) {
       throw std::logic_error(name_ + ": map: page already mapped");
     }
   }
+  table_.reserve(table_.size() + pages);
   for (Addr i = 0; i < pages; ++i) {
     table_[page_number(va) + i] = Entry{page_number(lower_addr) + i, 0};
   }

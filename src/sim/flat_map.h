@@ -123,6 +123,17 @@ class FlatMap {
     dead_ = 0;
   }
 
+  // Makes room for `n` live entries, so that inserting up to that many
+  // rebuilds nothing. Compacts dead slots (survivors keep their order);
+  // iterators are invalidated as by an insert.
+  void reserve(std::size_t n) {
+    std::size_t cap = 16;
+    while ((cap * 7) / 8 < n) cap *= 2;
+    if (cap > index_.size()) rebuild(cap);
+    entries_.reserve(n);
+    alive_.reserve(n);
+  }
+
   iterator find(const K& k) {
     const std::size_t d = find_dense(k);
     return iterator(this, d == kNpos ? entries_.size() : d);

@@ -15,10 +15,35 @@ class Rng {
 
   void reseed(std::uint64_t seed);
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, bound). bound == 0 returns 0.
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    if (bound == 0) return 0;
+    // Lemire's multiply-shift rejection method.
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    std::uint64_t l = static_cast<std::uint64_t>(m);
+    if (l < bound) {
+      const std::uint64_t t = -bound % bound;
+      while (l < t) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   // Uniform in [lo, hi] inclusive.
   std::int64_t next_range(std::int64_t lo, std::int64_t hi);
@@ -33,6 +58,10 @@ class Rng {
   bool next_bool(double p);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

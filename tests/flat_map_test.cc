@@ -161,4 +161,49 @@ TEST(FlatMapTest, GrowthPreservesContentsAndOrder) {
   }
 }
 
+// reserve() rebuilds the index ahead of the inserts it makes room for. It
+// must leave contents and insertion order as they were, whether or not
+// erased entries sit in the dense vector, and keep both right through the
+// inserts that follow.
+TEST(FlatMapTest, ReservePreservesContentsAndOrder) {
+  for (const bool with_erases : {false, true}) {
+    sim::FlatMap<std::uint64_t, std::uint64_t> m;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    std::vector<std::uint64_t> order;
+    auto insert = [&](std::uint64_t k) {
+      m.emplace(k, k * 3);
+      ref.emplace(k, k * 3);
+      order.push_back(k);
+    };
+    auto check = [&] {
+      ASSERT_EQ(m.size(), ref.size()) << "erases " << with_erases;
+      std::vector<std::uint64_t> seen;
+      for (const auto& [k, v] : m) {
+        seen.push_back(k);
+        ASSERT_EQ(v, ref.at(k)) << "erases " << with_erases;
+      }
+      ASSERT_EQ(seen, order) << "erases " << with_erases;
+      for (const auto& [k, v] : ref) ASSERT_TRUE(m.contains(k));
+    };
+    for (std::uint64_t k = 0; k < 40; ++k) insert(k * 7919);
+    if (with_erases) {
+      // Erase by iterator: it never compacts, so the dead slots stay in
+      // the dense vector until reserve() rebuilds.
+      for (auto it = m.begin(); it != m.end();) {
+        if (it->first % 3 == 0) {
+          ref.erase(it->first);
+          std::erase(order, it->first);
+          it = m.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    m.reserve(m.size() + 1000);
+    check();
+    for (std::uint64_t k = 40; k < 1040; ++k) insert(k * 7919);
+    check();
+  }
+}
+
 }  // namespace
