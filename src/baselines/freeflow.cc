@@ -16,13 +16,11 @@ FfRouter::FfRouter(sim::EventLoop& loop, rnic::RnicDevice& device,
 
 FreeflowContext::FreeflowContext(hyp::Container& container, FfRouter& ffr,
                                  overlay::OobEndpoint& oob)
-    : container_(container), ffr_(ffr), oob_(oob) {
-  ffr_.driver().set_profile(&profile_, verbs::Layer::kRdmaDriver);
-}
+    : container_(container), ffr_(ffr), oob_(oob) {}
 
 sim::Task<rnic::Expected<rnic::PdId>> FreeflowContext::alloc_pd() {
   co_await lib_charge("alloc_pd", lib_share(ffr_.driver().costs().alloc_pd));
-  co_return co_await ffr_.driver().alloc_pd();
+  co_return co_await driver().alloc_pd();
 }
 
 sim::Task<rnic::Expected<verbs::MrHandle>> FreeflowContext::reg_mr(
@@ -32,7 +30,7 @@ sim::Task<rnic::Expected<verbs::MrHandle>> FreeflowContext::reg_mr(
   // FFR allocates matching shared-memory regions and maps them into the
   // container — the dominant extra cost of FreeFlow's control path.
   co_await sim::delay(loop(), ffr_.costs().reg_mr_extra);
-  co_return co_await ffr_.driver().reg_mr(pd, container_.va(), addr, len,
+  co_return co_await driver().reg_mr(pd, container_.va(), addr, len,
                                           access);
 }
 
@@ -40,7 +38,7 @@ sim::Task<rnic::Expected<rnic::Cqn>> FreeflowContext::create_cq(int cqe) {
   co_await lib_charge("create_cq",
                       lib_share(ffr_.driver().costs().create_cq_base));
   co_await sim::delay(loop(), ffr_.costs().create_cq_extra);
-  auto cq = co_await ffr_.driver().create_cq(cqe);
+  auto cq = co_await driver().create_cq(cqe);
   if (cq.ok()) {
     shadows_[cq.value] = std::make_unique<ShadowCq>();
   }
@@ -52,7 +50,7 @@ sim::Task<rnic::Expected<rnic::Qpn>> FreeflowContext::create_qp(
   co_await lib_charge("create_qp",
                       lib_share(ffr_.driver().costs().create_qp));
   co_await sim::delay(loop(), ffr_.costs().create_qp_extra);
-  co_return co_await ffr_.driver().create_qp(attr);
+  co_return co_await driver().create_qp(attr);
 }
 
 sim::Task<rnic::Status> FreeflowContext::modify_qp(rnic::Qpn qpn,
@@ -70,7 +68,7 @@ sim::Task<rnic::Status> FreeflowContext::modify_qp(rnic::Qpn qpn,
     if (!pgid) co_return rnic::Status::kNotFound;
     renamed.dest_gid = *pgid;
   }
-  const rnic::Status st = co_await ffr_.driver().modify_qp(qpn, renamed,
+  const rnic::Status st = co_await driver().modify_qp(qpn, renamed,
                                                            mask);
   if (st == rnic::Status::kOk) {
     rnic::QpAttr& view = tenant_view_[qpn];
@@ -108,25 +106,25 @@ sim::Task<rnic::Expected<net::Gid>> FreeflowContext::query_gid() {
 sim::Task<rnic::Status> FreeflowContext::destroy_qp(rnic::Qpn qpn) {
   co_await lib_charge("destroy_qp",
                       lib_share(ffr_.driver().costs().destroy_qp));
-  co_return co_await ffr_.driver().destroy_qp(qpn);
+  co_return co_await driver().destroy_qp(qpn);
 }
 
 sim::Task<rnic::Status> FreeflowContext::destroy_cq(rnic::Cqn cq) {
   co_await lib_charge("destroy_cq",
                       lib_share(ffr_.driver().costs().destroy_cq));
   shadows_.erase(cq);
-  co_return co_await ffr_.driver().destroy_cq(cq);
+  co_return co_await driver().destroy_cq(cq);
 }
 
 sim::Task<rnic::Status> FreeflowContext::dereg_mr(const verbs::MrHandle& mr) {
   co_await lib_charge("dereg_mr", lib_share(ffr_.driver().costs().dereg_mr));
-  co_return co_await ffr_.driver().dereg_mr(mr.lkey);
+  co_return co_await driver().dereg_mr(mr.lkey);
 }
 
 sim::Task<rnic::Status> FreeflowContext::dealloc_pd(rnic::PdId pd) {
   co_await lib_charge("dealloc_pd",
                       lib_share(ffr_.driver().costs().dealloc_pd));
-  co_return co_await ffr_.driver().dealloc_pd(pd);
+  co_return co_await driver().dealloc_pd(pd);
 }
 
 sim::Task<void> FreeflowContext::forward_send(rnic::Qpn qpn, rnic::SendWr wr) {

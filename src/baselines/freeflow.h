@@ -131,6 +131,14 @@ class FreeflowContext : public verbs::Context {
     bool pumping = false;
   };
 
+  // The router's driver, its profile pointed at this container. The
+  // driver files a verb's time before the verb first suspends, so each
+  // verb lands in the profile of the container that called it.
+  verbs::KernelDriver& driver() {
+    ffr_.driver().set_profile(&profile_, verbs::Layer::kRdmaDriver);
+    return ffr_.driver();
+  }
+
   sim::Task<void> forward_send(rnic::Qpn qpn, rnic::SendWr wr);
   sim::Task<void> forward_recv(rnic::Qpn qpn, rnic::RecvWr wr);
   // Moves CQEs from the device CQ to the shadow CQ, one FFR visit each.

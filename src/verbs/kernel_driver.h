@@ -33,7 +33,9 @@ class KernelDriver {
   const DriverCosts& costs() const { return costs_; }
 
   // Attaches an accounting sink: all charged time lands in
-  // (profile, layer). May be null.
+  // (profile, layer). May be null. Every verb files its time before it
+  // first suspends, so a driver that serves several callers can be
+  // pointed at the caller's profile just before each verb.
   void set_profile(LayerProfile* profile, Layer layer = Layer::kRdmaDriver) {
     profile_ = profile;
     layer_ = layer;

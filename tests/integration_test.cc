@@ -168,6 +168,44 @@ TEST_P(CandidateTest, EachModifyIsOneProfileRowAcrossLayers) {
   EXPECT_EQ(rows, 3);  // INIT, RTR, RTS
 }
 
+TEST_P(CandidateTest, ProfilesStayPerContextWithTwoInstancesPerHost) {
+  // A verb's time lands in the profile of the context that ran it, however
+  // many instances share its host. The same connect runs on a bed with one
+  // instance per host and on one where instances 2 and 3 share hosts 0
+  // and 1 with the pair and run no verb.
+  Pair p;
+  RUN_SIM(loop_, establish(*bed_, &p));
+
+  sim::EventLoop loop;
+  fabric::TestbedConfig cfg;
+  cfg.candidate = GetParam();
+  cfg.cal.host_dram_bytes = 8ull << 30;
+  cfg.cal.vm_mem_bytes = 512ull << 20;
+  fabric::Testbed shared(loop, cfg);
+  shared.add_instances(4);
+  ASSERT_EQ(shared.instance_host(2), shared.instance_host(0));
+  ASSERT_EQ(shared.instance_host(3), shared.instance_host(1));
+  Pair q;
+  RUN_SIM(loop, establish(shared, &q));
+
+  for (const std::size_t i : {0u, 1u}) {
+    const verbs::LayerProfile& want = bed_->ctx(i).profile();
+    const verbs::LayerProfile& got = shared.ctx(i).profile();
+    ASSERT_EQ(got.verbs(), want.verbs()) << "instance " << i;
+    for (const std::string& verb : want.verbs()) {
+      for (int l = 0; l < verbs::kNumLayers; ++l) {
+        const auto layer = static_cast<verbs::Layer>(l);
+        EXPECT_EQ(got.by_layer(verb, layer), want.by_layer(verb, layer))
+            << "instance " << i << ", " << verb << ", "
+            << verbs::to_string(layer);
+      }
+    }
+  }
+  for (const std::size_t i : {2u, 3u}) {
+    EXPECT_EQ(shared.ctx(i).profile().grand_total(), 0) << "instance " << i;
+  }
+}
+
 // ---------------------------------------------------------------- MasQ-only
 
 class MasqTest : public ::testing::Test {
