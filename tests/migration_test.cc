@@ -394,6 +394,7 @@ TEST(MigrationTest, MidWarmRefillMigrationDegradesCleanly) {
   // VM when the gate closes: the batch drains, the pool's staged QPs move
   // with the session, and a post-move warm connect still succeeds.
   sim::EventLoop loop;
+  loop.enable_trace();
   BedOpts o;
   o.warm = true;
   o.check = true;
@@ -437,6 +438,10 @@ TEST(MigrationTest, MidWarmRefillMigrationDegradesCleanly) {
   loop.spawn(Run::go(bed.get(), &finished));
   loop.run();
   EXPECT_TRUE(finished);
+  // Stream pin: the move's re-registration push reaches each host cache
+  // and the frontends' warm-pool purges in one broadcast.
+  EXPECT_EQ(loop.events_executed(), 206u);
+  EXPECT_EQ(loop.trace_hash(), 0xc856bcc2f5e7540cull);
 }
 
 // --------------------------------- warm pool: stale parked pairs purged
@@ -448,6 +453,7 @@ TEST(MigrationTest, WarmPoolPurgesParkedPairWhenPeerMigrates) {
   // purge the parked entry, so the next connect downgrades to a fresh rung
   // instead of reusing a pair wired to the old host.
   sim::EventLoop loop;
+  loop.enable_trace();
   BedOpts o;
   o.warm = true;
   auto bed = make_bed(loop, o);
@@ -509,6 +515,10 @@ TEST(MigrationTest, WarmPoolPurgesParkedPairWhenPeerMigrates) {
   loop.spawn(Run::go(bed.get(), &finished));
   loop.run();
   EXPECT_TRUE(finished);
+  // Stream pin: the peer's re-registration push reaches each host cache
+  // and then the survivor's warm-pool purge, in one broadcast.
+  EXPECT_EQ(loop.events_executed(), 355u);
+  EXPECT_EQ(loop.trace_hash(), 0xca06d1108a383fbaull);
 }
 
 // ------------------------------------------------ drain-timeout rollback
