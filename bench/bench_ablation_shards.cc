@@ -3,7 +3,7 @@
 // how per-shard queue pressure and tail setup latency respond. With one
 // shard every resolve funnels through a single FIFO query service; each
 // doubling of the shard count roughly halves the peak queue depth until
-// the per-host agent batching (one in-flight batch per host per shard)
+// the per-host miss lanes (one in-flight batch per host per shard)
 // becomes the binding constraint.
 #include <cstdio>
 
@@ -21,7 +21,7 @@ fabric::ScaleConfig storm(std::size_t shards) {
   cfg.waves = 3;
   cfg.shards = shards;
   cfg.query_service = sim::microseconds(1);
-  // Batching off: the host agents' one-batch-per-shard cap would mask the
+  // Batching off: the host caches' one-batch-per-shard cap would mask the
   // queue pressure this ablation measures — here every miss hits the
   // shard's FIFO directly, so depth scales with concurrent misses.
   cfg.batch_window = 0;

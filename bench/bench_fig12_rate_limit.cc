@@ -11,8 +11,7 @@ namespace {
 double limited_bw(double cap_gbps) {
   sim::EventLoop loop;
   auto bed = bench::make_bed(loop, fabric::Candidate::kMasq);
-  bed->masq_backend(0).set_tenant_rate_limit(bed->config().default_vni,
-                                             cap_gbps);
+  bed->masq_backend(0).set_tenant_rate_limit(fabric::kDefaultVni, cap_gbps);
   apps::perftest::BwConfig cfg;
   cfg.op = apps::perftest::Op::kWrite;
   cfg.msg_size = 65536;

@@ -63,10 +63,10 @@ sim::Task<rnic::Status> FreeflowContext::modify_qp(rnic::Qpn qpn,
   if ((mask & rnic::kAttrDestGid) != 0 && !attr.dest_gid.is_zero()) {
     // FFR translates the container-overlay GID to the host's physical GID
     // using its own mapping service.
-    auto pgid = co_await ffr_.cache().resolve(container_.config().vni,
-                                              attr.dest_gid);
-    if (!pgid) co_return rnic::Status::kNotFound;
-    renamed.dest_gid = *pgid;
+    const auto res = co_await ffr_.cache().resolve_ex(
+        container_.config().vni, attr.dest_gid);
+    if (!res.pgid) co_return rnic::Status::kNotFound;
+    renamed.dest_gid = *res.pgid;
   }
   const rnic::Status st = co_await driver().modify_qp(qpn, renamed,
                                                            mask);

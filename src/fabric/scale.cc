@@ -12,7 +12,6 @@
 #include "fabric/traffic.h"
 #include "net/addr.h"
 #include "sdn/controller.h"
-#include "sdn/host_agent.h"
 #include "sim/arena.h"
 #include "sim/event_loop.h"
 #include "sim/flat_map.h"
@@ -28,6 +27,10 @@ namespace {
 // of each connect's virtual start time and warm-off runs keep their event
 // stream. Token bucket: pre-staged QP/CQ ladders per VM. Parked pair: an
 // RTS QP kept warm toward one peer generation until its idle TTL.
+constexpr std::uint64_t kWarmPool = 4;  // tokens a VM boots with
+constexpr sim::Time kWarmRefill = sim::microseconds(50);
+constexpr sim::Time kWarmReuseTtl = sim::milliseconds(5);
+
 struct WarmTokens {
   std::uint64_t tokens = 0;
   sim::Time last = 0;  // restock clock (advanced by whole refill periods)
@@ -37,20 +40,19 @@ struct ParkedConn {
   sim::Time expires = 0;  // lazy idle-timeout reclaim deadline
 };
 
-// Lazy restock + take: tokens refill one per warm_refill of elapsed
+// Lazy restock + take: tokens refill one per kWarmRefill of elapsed
 // virtual time — the background refill with no events of its own, so
 // enabling warm changes latencies but never injects extra loop events.
-bool take_warm_token(const ScaleConfig& cfg, WarmTokens& w, sim::Time now) {
-  if (w.tokens >= cfg.warm_pool) {
+bool take_warm_token(WarmTokens& w, sim::Time now) {
+  if (w.tokens >= kWarmPool) {
     w.last = now;  // full pool: the refill clock idles
-  } else if (cfg.warm_refill > 0) {
+  } else {
     const std::uint64_t earned =
-        static_cast<std::uint64_t>((now - w.last) / cfg.warm_refill);
-    const std::uint64_t add =
-        std::min<std::uint64_t>(earned, cfg.warm_pool - w.tokens);
+        static_cast<std::uint64_t>((now - w.last) / kWarmRefill);
+    const std::uint64_t add = std::min(earned, kWarmPool - w.tokens);
     w.tokens += add;
-    w.last += cfg.warm_refill * static_cast<sim::Time>(add);
-    if (w.tokens >= cfg.warm_pool) w.last = now;
+    w.last += kWarmRefill * static_cast<sim::Time>(add);
+    if (w.tokens >= kWarmPool) w.last = now;
   }
   if (w.tokens == 0) return false;
   --w.tokens;
@@ -79,7 +81,7 @@ struct Driver {
   const ScaleConfig& cfg;
   sim::EventLoop loop;
   sdn::Controller controller;
-  std::vector<std::unique_ptr<sdn::HostAgent>> agents;  // one per host
+  std::vector<std::unique_ptr<sdn::MappingCache>> caches;  // one per host
   // Per-VM vGID generation: bumped by each vBond IP change; the current
   // vGID of VM g is gid_of(g, gen[g]).
   std::vector<std::uint32_t> gen;
@@ -107,17 +109,15 @@ struct Driver {
                    }),
         gen(c.hosts * c.vms_per_host, 0) {
     for (std::size_t h = 0; h < c.hosts; ++h) {
-      agents.push_back(std::make_unique<sdn::HostAgent>(
+      caches.push_back(std::make_unique<sdn::MappingCache>(
           loop, controller,
-          sdn::HostAgentConfig{
-              .cache_hit_cost = c.cache_hit_cost,
-              .cache_staleness_bound = c.staleness_bound,
+          sdn::CacheConfig{
+              .hit_cost = c.cache_hit_cost,
               .batch_window = c.batch_window,
-              .max_batch = c.max_batch,
-              .speculative_prefill = c.warm,
+              .insert_pushes = c.warm,
           }));
     }
-    if (c.warm) warm_vm.assign(total_vms(), WarmTokens{c.warm_pool, 0});
+    if (c.warm) warm_vm.assign(total_vms(), WarmTokens{kWarmPool, 0});
   }
 
   // Topology arithmetic lives in fabric/storm_schedule.h, shared with the
@@ -154,7 +154,7 @@ struct Driver {
   // Parks the pair's RTS QP warm for the reuse TTL.
   void keep_warm(std::uint64_t pair, std::uint32_t dst_gen) {
     parked.insert_or_assign(
-        pair, ParkedConn{dst_gen, loop.now() + cfg.warm_reuse_ttl});
+        pair, ParkedConn{dst_gen, loop.now() + kWarmReuseTtl});
   }
 
   // One connection attempt from `src` to whatever vGID `dst` holds when
@@ -193,8 +193,7 @@ struct Driver {
     a.pair = pair;
     a.src = static_cast<std::uint32_t>(src);
     a.dst_gen = dst_gen;
-    agents[host_of(src)]->cache().resolve(vni_of(dst), gid_of(dst, dst_gen),
-                                          a);
+    caches[host_of(src)]->resolve(vni_of(dst), gid_of(dst, dst_gen), a);
   }
 
   // vBond IP change: the VM drops its vGID and registers a fresh one. The
@@ -235,7 +234,7 @@ void Attempt::resolved(sdn::MappingCache::Resolution res) {
       // token (pre-staged QP at INIT) shrinks it to RTR→RTS.
       sim::Time ladder = drv.cfg.ladder_cost;
       if (drv.cfg.warm) {
-        if (take_warm_token(drv.cfg, drv.warm_vm[from], drv.loop.now())) {
+        if (take_warm_token(drv.warm_vm[from], drv.loop.now())) {
           ladder = drv.cfg.warm_ladder_cost;
           ++drv.warm_pooled;
         } else {
@@ -458,14 +457,13 @@ ScaleReport run_scale_storm(const ScaleConfig& cfg) {
   if (r.elapsed_ms > 0) {
     r.kconn_per_s = static_cast<double>(d.ok + d.degraded) / r.elapsed_ms;
   }
-  for (const auto& agent : d.agents) {
-    const sdn::MappingCache& c = agent->cache();
-    r.cache_hits += c.hits();
-    r.cache_misses += c.misses();
-    r.coalesced += c.single_flight_coalesced();
-    r.agent_batches += agent->batches();
-    r.agent_batched_keys += agent->batched_keys();
-    r.warm_prefills += agent->prefills();
+  for (const auto& c : d.caches) {
+    r.cache_hits += c->hits();
+    r.cache_misses += c->misses();
+    r.coalesced += c->single_flight_coalesced();
+    r.agent_batches += c->batches();
+    r.agent_batched_keys += c->batched_keys();
+    r.warm_prefills += c->prefills();
   }
   r.warm_enabled = cfg.warm;
   r.warm_pooled = d.warm_pooled;
@@ -484,9 +482,7 @@ ScaleReport run_scale_storm(const ScaleConfig& cfg) {
     sr.unreachable = d.controller.shard_unreachable_queries(s);
     sr.max_queue_depth = d.controller.shard_max_queue_depth(s);
     sr.table_size = d.controller.shard_table_size(s);
-    for (const auto& agent : d.agents) {
-      sr.degraded_serves += agent->cache().degraded_serves(s);
-    }
+    for (const auto& c : d.caches) sr.degraded_serves += c->degraded_serves(s);
   }
   // Fabric traffic phase: a pure function of (config, schedule) on its own
   // loop, counted into sim_events and folded into the trace hash.

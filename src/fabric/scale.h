@@ -1,11 +1,11 @@
 // Connection-storm scale harness (DESIGN.md §12): drives the sharded SDN
-// control plane — Controller shards + per-host HostAgents — with a
+// control plane — Controller shards + one MappingCache per host — with a
 // T-tenant × H-host × V-VMs/host workload, WITHOUT building the full
 // per-VM RNIC/virtio stack (a 10k-VM testbed would spend all its wall
 // clock on data-plane machinery this harness does not measure).
 //
 // What it models, per connection attempt:
-//   resolve (host agent / cache / shard query)  +  a fixed "verb ladder"
+//   resolve (host cache / miss lane / shard query)  +  a fixed "verb ladder"
 //   charge standing in for the rest of Fig. 15's setup sequence.
 // What it measures: connection-setup throughput, p50/p99/max setup
 // latency, resolve-cache hit rate, per-shard queue depth and query
@@ -112,14 +112,12 @@ struct ScaleConfig {
   // wave (a storm front, not a single synchronized tick).
   sim::Time spread = sim::milliseconds(10);
 
-  // Control-plane geometry (mirrors TestbedConfig's sdn_* knobs).
+  // Control-plane geometry: sdn::ControllerConfig and sdn::CacheConfig.
   std::size_t shards = 8;
   sim::Time query_rtt = sim::microseconds(100);
   sim::Time query_service = sim::microseconds(1);
   sim::Time batch_window = sim::microseconds(5);
-  std::size_t max_batch = 64;
   sim::Time cache_hit_cost = sim::microseconds(2);
-  sim::Time staleness_bound = sim::seconds(5);
   // Stand-in for the rest of the connection-setup ladder (reg_mr..RTS
   // minus the resolve), so latency and throughput have Fig. 15-shaped
   // magnitudes without simulating every verb.
@@ -133,20 +131,18 @@ struct ScaleConfig {
 
   // Warm connection-setup path (DESIGN.md §14), modeled analytically so
   // the warm-off event stream stays bit-identical:
-  //   * every VM boots with `warm_pool` pre-staged QP/CQ ladders (tokens);
+  //   * every VM boots with a pool of pre-staged QP/CQ ladders (tokens);
   //     a pooled setup pays warm_ladder_cost instead of ladder_cost, and
-  //     tokens restock lazily one per warm_refill of elapsed virtual time
-  //     (the background refill, with no timer events of its own);
-  //   * a completed (src,dst) pair is parked for warm_reuse_ttl; a repeat
+  //     tokens restock lazily from elapsed virtual time (the background
+  //     refill, with no timer events of its own);
+  //   * a completed (src,dst) pair is parked for a reuse TTL; a repeat
   //     connect inside the TTL to the SAME peer generation reuses the RTS
   //     QP for warm_reuse_cost — no resolve, no ladder. A churned peer
   //     (generation bump) invalidates the parked pair lazily;
-  //   * host agents run with speculative_prefill, so controller pushes
-  //     land mappings in every cache ahead of the first miss.
+  //   * host caches run with insert_pushes, so controller pushes land
+  //     mappings in every cache ahead of the first miss.
+  // The pool size, refill period and reuse TTL are constants in scale.cc.
   bool warm = false;
-  std::size_t warm_pool = 4;
-  sim::Time warm_refill = sim::microseconds(50);
-  sim::Time warm_reuse_ttl = sim::milliseconds(5);
   sim::Time warm_ladder_cost = sim::microseconds(10);  // RTR→RTS only
   sim::Time warm_reuse_cost = sim::microseconds(2);    // hello round only
 
@@ -207,6 +203,8 @@ struct ScaleReport {
   std::uint64_t cache_misses = 0;
   std::uint64_t coalesced = 0;
   double hit_rate = 0;
+  // Miss-lane flushes and the keys they carried (sdn::MappingCache::
+  // batches / batched_keys; the names are the report's JSON keys).
   std::uint64_t agent_batches = 0;
   std::uint64_t agent_batched_keys = 0;
 

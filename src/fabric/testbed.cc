@@ -22,12 +22,7 @@ Testbed::Testbed(sim::EventLoop& loop, TestbedConfig config)
       config_(std::move(config)),
       fluid_(loop),
       vnet_(loop, config_.cal.oob_oneway),
-      controller_(loop,
-                  sdn::ControllerConfig{
-                      .query_rtt = config_.cal.controller_rtt,
-                      .num_shards = config_.sdn_shards,
-                      .query_service = config_.sdn_query_service,
-                  }) {
+      controller_(loop, config_.cal.controller_rtt) {
   if (config_.faults.any()) {
     fault_plane_ = std::make_unique<sim::FaultPlane>(loop_, config_.faults,
                                                      config_.fault_seed);
@@ -68,8 +63,6 @@ Testbed::Testbed(sim::EventLoop& loop, TestbedConfig config)
       bc.conntrack_costs = config_.cal.conntrack_costs;
       bc.mapping_cache_hit = config_.cal.mapping_cache_hit;
       bc.retry = config_.retry;
-      bc.cache_staleness_bound = config_.cache_staleness_bound;
-      bc.resolve_batch_window = config_.sdn_resolve_batch_window;
       bc.warm = config_.masq_warm;
       bc.faults = fault_plane_.get();
       backends_.push_back(std::make_unique<masq::Backend>(
@@ -191,7 +184,7 @@ void Testbed::program_tunnels_for(const Instance& inst) {
 
 std::optional<std::size_t> Testbed::add_instance(
     std::optional<std::uint32_t> vni_opt) {
-  const std::uint32_t vni = vni_opt.value_or(config_.default_vni);
+  const std::uint32_t vni = vni_opt.value_or(kDefaultVni);
   const std::size_t host_idx = instances_.size() % hosts_.size();
   hyp::Host& host = *hosts_[host_idx];
   rnic::RnicDevice& dev = host.rnic(0);

@@ -43,10 +43,12 @@ inline constexpr Candidate kAllCandidates[] = {
     Candidate::kHostRdma, Candidate::kFreeFlow, Candidate::kSriov,
     Candidate::kMasq};
 
+// The tenant an instance joins when add_instance() names none.
+inline constexpr std::uint32_t kDefaultVni = 100;
+
 struct TestbedConfig {
   Candidate candidate = Candidate::kMasq;
   int num_hosts = 2;
-  std::uint32_t default_vni = 100;
   // Fig. 9: map MasQ tenants to the PF instead of VFs.
   bool masq_use_pf = false;
   // Ablation: RConnrename queries the controller on every connection.
@@ -59,18 +61,8 @@ struct TestbedConfig {
   // so default runs keep a bit-identical event stream.
   sim::FaultConfig faults;
   std::uint64_t fault_seed = 1;
-  // Control-path retry policy and degraded-mode staleness bound shared by
-  // every MasQ backend/frontend pair.
+  // Control-path retry policy shared by every MasQ backend/frontend pair.
   masq::RetryPolicy retry;
-  sim::Time cache_staleness_bound = sim::seconds(5);
-  // SDN control-plane sharding (DESIGN.md §12). Defaults model the flat
-  // pre-sharding controller exactly: one shard, infinitely fast query
-  // service, pass-through host agents.
-  std::size_t sdn_shards = 1;
-  // Per-key occupancy at each shard's FIFO query service (0 = pure RTT).
-  sim::Time sdn_query_service = 0;
-  // Host-agent resolve batching window (0 = pass-through).
-  sim::Time sdn_resolve_batch_window = 0;
   // Warm-path connection pool (DESIGN.md §14). Disabled by default: no
   // pool is constructed and the cold path stays bit-identical.
   masq::WarmPoolConfig masq_warm;

@@ -10,25 +10,15 @@ Backend::Backend(sim::EventLoop& loop, rnic::RnicDevice& device,
       controller_(controller),
       vnet_(vnet),
       config_(std::move(config)),
-      agent_(loop, controller,
-             sdn::HostAgentConfig{
-                 .cache_hit_cost = config_.mapping_cache_hit,
-                 .negative_ttl = sim::milliseconds(1),
-                 .cache_staleness_bound = config_.cache_staleness_bound,
-                 .batch_window = config_.resolve_batch_window,
-             }),
+      // §3.3.1: "the controller can be configured to push down the
+      // mappings in advance" — the cache plants every (re)binding, which
+      // also makes live migration transparent to later connections.
+      cache_(loop, controller,
+             sdn::CacheConfig{.hit_cost = config_.mapping_cache_hit,
+                              .insert_pushes = true}),
       conntrack_(loop, vnet, config_.conntrack_costs) {
-  // §3.3.1: "the controller can be configured to push down the mappings in
-  // advance" — keep the host-local cache coherent with every (re)binding,
-  // which also makes live migration transparent to later connections.
-  // (Invalidations need no wiring here: the cache subscribes to the
-  // controller's invalidate channel itself.)
-  push_sub_ = controller_.subscribe(
-      [this](std::uint32_t vni, net::Gid vgid, net::Gid pgid) {
-        agent_.cache().insert(vni, vgid, pgid);
-      });
   if (config_.faults != nullptr) {
-    agent_.cache().set_fault_probe(
+    cache_.set_fault_probe(
         [f = config_.faults](std::uint64_t key_hash) {
           return f->expire_cache_entry(key_hash);
         });
@@ -63,15 +53,13 @@ sim::Task<void> Backend::purge_and_settle(
 }
 
 Backend::~Backend() {
-  // Run before member destruction: ~Session → ~VBond → unregister_vgid
-  // broadcasts invalidations, and sibling backends already destroyed must
-  // not be reachable through the controller's subscriber lists (and this
-  // backend must drop out before its own agent_ dies). Likewise the device
-  // must not call a hook into a dead backend, and loop callbacks already
-  // queued by the hook must see the liveness flag down.
+  // Run before member destruction: the device must not call a hook into a
+  // dead backend, and loop callbacks already queued by the hook must see
+  // the liveness flag down. (~Session → ~VBond → unregister_vgid then
+  // broadcasts invalidations, which cache_ — destroyed after sessions_ —
+  // still hears.)
   liveness_.reset();
   device_.remove_qp_error_hook(qp_error_sub_);
-  controller_.unsubscribe(push_sub_);
 }
 
 rnic::FnId Backend::tenant_fn(std::uint32_t vni) {
@@ -113,19 +101,12 @@ void Backend::remove_session(Session& session) {
 void Backend::Session::adopt_qp(rnic::Qpn qpn,
                                 const rnic::QpAttr* tenant_attr) {
   owned_qps_.insert(qpn);
-  ++live_qps_;
   if (tenant_attr != nullptr) tenant_view_[qpn] = *tenant_attr;
 }
 
-void Backend::Session::adopt_cq(rnic::Cqn cq) {
-  owned_cqs_.insert(cq);
-  ++live_cqs_;
-}
+void Backend::Session::adopt_cq(rnic::Cqn cq) { owned_cqs_.insert(cq); }
 
-void Backend::Session::adopt_mr(rnic::Key lkey) {
-  owned_mrs_.insert(lkey);
-  ++live_mrs_;
-}
+void Backend::Session::adopt_mr(rnic::Key lkey) { owned_mrs_.insert(lkey); }
 
 void Backend::Session::adopt_pd(rnic::PdId pd) { owned_pds_.insert(pd); }
 
@@ -342,26 +323,19 @@ sim::Task<Response> Backend::Session::on_reg_mr(const CmdRegMr& cmd) {
   // and building the MTT happens in the kernel driver (Appendix B.2).
   auto mr = co_await driver_.reg_mr(cmd.pd, vm_.gva(), cmd.gva, cmd.len,
                                     cmd.access);
-  if (mr.status == rnic::Status::kOk) {
-    ++live_mrs_;
-    owned_mrs_.insert(mr.value.lkey);
-  }
+  if (mr.status == rnic::Status::kOk) owned_mrs_.insert(mr.value.lkey);
   co_return Response{mr.status, mr.value.lkey, mr.value.rkey};
 }
 
 sim::Task<Response> Backend::Session::on_create_cq(const CmdCreateCq& cmd) {
   auto cq = co_await driver_.create_cq(cmd.cqe);
-  if (cq.status == rnic::Status::kOk) {
-    ++live_cqs_;
-    owned_cqs_.insert(cq.value);
-  }
+  if (cq.status == rnic::Status::kOk) owned_cqs_.insert(cq.value);
   co_return Response{cq.status, cq.value, 0};
 }
 
 sim::Task<Response> Backend::Session::on_create_qp(const CmdCreateQp& cmd) {
   auto qp = co_await driver_.create_qp(cmd.attr);
   if (qp.status == rnic::Status::kOk) {
-    ++live_qps_;
     ++qps_created_;
     owned_qps_.insert(qp.value);
   }
@@ -457,29 +431,21 @@ sim::Task<Response> Backend::Session::on_destroy_qp(const CmdDestroyQp& cmd) {
   tenant_view_.erase(cmd.qpn);
   co_await backend_.conntrack().untrack(cmd.qpn, vni());
   const rnic::Status st = co_await driver_.destroy_qp(cmd.qpn);
-  if (st == rnic::Status::kOk && live_qps_ > 0) {
-    --live_qps_;
+  if (st == rnic::Status::kOk && owned_qps_.erase(cmd.qpn) > 0) {
     ++qps_destroyed_;
-    owned_qps_.erase(cmd.qpn);
   }
   co_return Response{st, 0, 0};
 }
 
 sim::Task<Response> Backend::Session::on_destroy_cq(const CmdDestroyCq& cmd) {
   const rnic::Status st = co_await driver_.destroy_cq(cmd.cq);
-  if (st == rnic::Status::kOk && live_cqs_ > 0) {
-    --live_cqs_;
-    owned_cqs_.erase(cmd.cq);
-  }
+  if (st == rnic::Status::kOk) owned_cqs_.erase(cmd.cq);
   co_return Response{st, 0, 0};
 }
 
 sim::Task<Response> Backend::Session::on_dereg_mr(const CmdDeregMr& cmd) {
   const rnic::Status st = co_await driver_.dereg_mr(cmd.lkey);
-  if (st == rnic::Status::kOk && live_mrs_ > 0) {
-    --live_mrs_;
-    owned_mrs_.erase(cmd.lkey);
-  }
+  if (st == rnic::Status::kOk) owned_mrs_.erase(cmd.lkey);
   co_return Response{st, 0, 0};
 }
 

@@ -26,7 +26,6 @@
 #include "overlay/oob.h"
 #include "rnic/device.h"
 #include "sdn/controller.h"
-#include "sdn/host_agent.h"
 #include "sim/event_loop.h"
 #include "sim/flat_map.h"
 #include "verbs/api.h"
@@ -73,14 +72,6 @@ struct BackendConfig {
   // Frontend control-path retry policy (shared config so frontends and
   // tests agree on deadlines).
   RetryPolicy retry;
-  // Degraded SDN mode: how stale a cached mapping may be and still be
-  // served while the controller is unreachable.
-  sim::Time cache_staleness_bound = sim::seconds(5);
-  // Host-agent resolve batching (DESIGN.md §12): how long a leader miss
-  // waits for same-shard company before the agent flushes the lane as one
-  // Controller::query_batch. 0 = pass-through (the calibrated default:
-  // every miss pays its own controller RTT, exactly the pre-agent trace).
-  sim::Time resolve_batch_window = 0;
   // Fault plane, or null for a fault-free run. Not owned; must outlive
   // the backend. Wired through to the mapping cache's expiry probe and
   // the per-command failure site.
@@ -94,9 +85,8 @@ class Backend {
   Backend(sim::EventLoop& loop, rnic::RnicDevice& device,
           sdn::Controller& controller, overlay::VirtualNetwork& vnet,
           BackendConfig config = {});
-  // Unsubscribes from the controller before members are torn down: session
-  // teardown (vBond release) triggers unregister_vgid broadcasts, and the
-  // controller must never call into a backend that is mid-destruction.
+  // Unhooks the device before members are torn down: the device must
+  // never call into a backend that is mid-destruction.
   ~Backend();
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
@@ -128,12 +118,13 @@ class Backend {
     std::uint64_t dedup_hits() const { return dedup_hits_; }
 
     // Live-object accounting: RNIC objects this session currently holds,
-    // by kind. The warm pool's lazy teardown is proven against these —
-    // parked connections keep live_qps high until the idle reclaim fires,
-    // then the counts settle back to the application's working set.
-    std::uint64_t live_qps() const { return live_qps_; }
-    std::uint64_t live_cqs() const { return live_cqs_; }
-    std::uint64_t live_mrs() const { return live_mrs_; }
+    // by kind, read off the owned_* sets. The warm pool's lazy teardown is
+    // proven against these — parked connections keep live_qps high until
+    // the idle reclaim fires, then the counts settle back to the
+    // application's working set.
+    std::uint64_t live_qps() const { return owned_qps_.size(); }
+    std::uint64_t live_cqs() const { return owned_cqs_.size(); }
+    std::uint64_t live_mrs() const { return owned_mrs_.size(); }
     std::uint64_t qps_created() const { return qps_created_; }
     std::uint64_t qps_destroyed() const { return qps_destroyed_; }
 
@@ -145,8 +136,8 @@ class Backend {
     std::uint32_t vni() const { return vm_.config().vni; }
 
     // Object inventory: the RNIC object IDs this tenant currently owns, in
-    // creation order. Live migration enumerates these to know exactly what
-    // must move with the VM (the live_* counters alone only say how many).
+    // creation order — the session's one ownership record. Live migration
+    // enumerates these to know exactly what must move with the VM.
     const sim::FlatSet<rnic::Qpn>& owned_qps() const { return owned_qps_; }
     const sim::FlatSet<rnic::Cqn>& owned_cqs() const { return owned_cqs_; }
     const sim::FlatSet<rnic::Key>& owned_mrs() const { return owned_mrs_; }
@@ -204,9 +195,6 @@ class Backend {
     // cmd_id -> future of the execution currently in flight.
     sim::FlatMap<std::uint64_t, sim::Future<Response>> inflight_cmds_;
     std::uint64_t dedup_hits_ = 0;
-    std::uint64_t live_qps_ = 0;
-    std::uint64_t live_cqs_ = 0;
-    std::uint64_t live_mrs_ = 0;
     std::uint64_t qps_created_ = 0;
     std::uint64_t qps_destroyed_ = 0;
     sim::FlatSet<rnic::Qpn> owned_qps_;
@@ -232,10 +220,8 @@ class Backend {
   sim::EventLoop& loop() { return loop_; }
   rnic::RnicDevice& device() { return device_; }
   sdn::Controller& controller() { return controller_; }
-  // The host's SDN tier: the agent owns the mapping cache and (when a
-  // batch window is configured) batches its leader misses per shard.
-  sdn::HostAgent& host_agent() { return agent_; }
-  sdn::MappingCache& mapping_cache() { return agent_.cache(); }
+  // The host's SDN tier: its one mapping cache, pre-warmed by every push.
+  sdn::MappingCache& mapping_cache() { return cache_; }
   RConntrack& conntrack() { return conntrack_; }
   const BackendConfig& config() const { return config_; }
   sim::FaultPlane* faults() { return config_.faults; }
@@ -255,8 +241,7 @@ class Backend {
   sdn::Controller& controller_;
   overlay::VirtualNetwork& vnet_;
   BackendConfig config_;
-  sdn::HostAgent agent_;
-  sdn::Controller::SubId push_sub_ = 0;
+  sdn::MappingCache cache_;
   rnic::RnicDevice::QpErrorHookId qp_error_sub_ = 0;
   // Keeps loop callbacks deferred by the qp-error hook from touching a
   // destroyed backend: they capture a weak_ptr and stand down once this

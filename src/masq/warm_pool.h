@@ -87,7 +87,7 @@ class WarmPool {
   };
 
   // Detached background tasks hold a weak liveness token and stand down
-  // once the pool dies (same idiom as HostAgent::flush_lane).
+  // once the pool dies (same idiom as MappingCache::flush_lane).
   static sim::Task<void> stage_task(WarmPool* self,
                                     std::weak_ptr<const char> alive);
   static sim::Task<void> refill_task(WarmPool* self,

@@ -27,7 +27,7 @@ namespace sim {
 
 class Callback {
  public:
-  // Sized for the repo's largest hot capture set (HostAgent lane flush:
+  // Sized for the repo's largest hot capture set (MappingCache lane flush:
   // loop ref + this + shard index + weak_ptr control block = 40 bytes).
   static constexpr std::size_t kInlineBytes = 40;
 

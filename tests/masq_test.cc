@@ -117,9 +117,9 @@ TEST_F(MasqBackendTest, ControllerPushDownKeepsCachesCoherent) {
     static sim::Task<void> run(fabric::Testbed* bed, bool* hit) {
       auto& cache = bed->masq_backend(0).mapping_cache();
       const auto before = cache.misses();
-      auto r = co_await cache.resolve(
+      const auto r = co_await cache.resolve_ex(
           100, net::Gid::from_ipv4(bed->instance_vip(1)));
-      *hit = r.has_value() && cache.misses() == before;
+      *hit = r.pgid.has_value() && cache.misses() == before;
     }
   };
   bool hit = false;
@@ -165,7 +165,9 @@ TEST_F(MasqBackendTest, UnregisterVgidInvalidatesHostCaches) {
   struct Probe {
     static sim::Task<void> run(fabric::Testbed* bed, net::Gid g,
                                std::optional<net::Gid>* out) {
-      *out = co_await bed->masq_backend(0).mapping_cache().resolve(100, g);
+      const auto r =
+          co_await bed->masq_backend(0).mapping_cache().resolve_ex(100, g);
+      *out = r.pgid;
     }
   };
   // Warm: registration push-down already populated host 0's cache.

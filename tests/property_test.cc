@@ -13,7 +13,6 @@
 #include "apps/common.h"
 #include "apps/kvs.h"
 #include "fabric/testbed.h"
-#include "sdn/host_agent.h"
 #include "mem/physical_memory.h"
 #include "mem/region_allocator.h"
 #include "net/fluid.h"
@@ -407,9 +406,9 @@ TEST(ChaosSweepFoldTest, SeedsOneToHundredMatchRecording) {
 // Equivalence sweep: the same pre-generated schedule of directory
 // mutations (register / re-register / unregister) and resolve bursts is
 // driven against two worlds —
-//   A: 4 shards, a 1 us per-key service budget, and HostAgents batching
-//      leader misses in a 3 us window (the full DESIGN.md §12 tier), and
-//   B: the flat single-shard controller with pass-through agents (the
+//   A: 4 shards, a 1 us per-key service budget, and host caches batching
+//      leader misses in 3 us miss lanes (the full DESIGN.md §12 tier), and
+//   B: the flat single-shard controller with lane-less caches (the
 //      pre-sharding reference).
 // Sharding and batching may only change *when* things happen, never what
 // they resolve to: both worlds must produce identical resolution logs
@@ -420,7 +419,7 @@ class ShardEquivalenceTest : public ::testing::TestWithParam<int> {};
 namespace shardeq {
 
 constexpr std::size_t kKeys = 24;
-constexpr std::size_t kAgents = 2;  // two hosts' worth of caches
+constexpr std::size_t kHosts = 2;  // two hosts' worth of caches
 
 net::Gid vgid_of(std::size_t key) {
   return net::Gid::from_ipv4(
@@ -436,7 +435,7 @@ struct Op {
   enum Kind : std::uint8_t { kRegister, kUnregister, kBurst } kind;
   std::size_t key = 0;        // kRegister / kUnregister
   std::uint32_t gen = 0;      // kRegister: pGID generation (IP churn)
-  // kBurst: (agent, key) resolve slots, all spawned at once, drained
+  // kBurst: (host, key) resolve slots, all spawned at once, drained
   // before the next op.
   std::vector<std::pair<std::size_t, std::size_t>> resolves;
 };
@@ -470,7 +469,7 @@ std::vector<Op> make_schedule(std::uint64_t seed) {
       Op burst{Op::kBurst, 0, 0, {}};
       const std::size_t n = 4 + rng.next_below(10);
       for (std::size_t j = 0; j < n; ++j) {
-        burst.resolves.emplace_back(rng.next_below(kAgents),
+        burst.resolves.emplace_back(rng.next_below(kHosts),
                                     rng.next_below(kKeys));
       }
       ops.push_back(std::move(burst));
@@ -483,11 +482,9 @@ struct World {
   World(std::size_t shards, sim::Time service, sim::Time window)
       : controller(loop, sdn::ControllerConfig{sim::microseconds(100),
                                                shards, service}) {
-    sdn::HostAgentConfig ac;
-    ac.batch_window = window;
-    for (std::size_t a = 0; a < kAgents; ++a) {
-      agents.push_back(
-          std::make_unique<sdn::HostAgent>(loop, controller, ac));
+    for (std::size_t h = 0; h < kHosts; ++h) {
+      caches.push_back(std::make_unique<sdn::MappingCache>(
+          loop, controller, sdn::CacheConfig{.batch_window = window}));
     }
     push_sub = controller.subscribe(
         [this](std::uint32_t vni, net::Gid vgid, net::Gid pgid) {
@@ -516,10 +513,10 @@ struct World {
     bool operator==(const Outcome&) const = default;
   };
 
-  static sim::Task<void> resolve_slot(sdn::HostAgent* agent,
+  static sim::Task<void> resolve_slot(sdn::MappingCache* cache,
                                       std::uint32_t vni, net::Gid vgid,
                                       Outcome* out) {
-    const auto r = co_await agent->resolve_ex(vni, vgid);
+    const auto r = co_await cache->resolve_ex(vni, vgid);
     out->status = static_cast<std::uint8_t>(r.status);
     if (r.pgid) out->pgid = *r.pgid;
   }
@@ -540,8 +537,8 @@ struct World {
           const std::size_t base = results.size();
           results.resize(base + op.resolves.size());
           for (std::size_t j = 0; j < op.resolves.size(); ++j) {
-            const auto [agent, key] = op.resolves[j];
-            loop.spawn(resolve_slot(agents[agent].get(), vni_of(key),
+            const auto [host, key] = op.resolves[j];
+            loop.spawn(resolve_slot(caches[host].get(), vni_of(key),
                                     vgid_of(key), &results[base + j]));
           }
           loop.run();
@@ -553,7 +550,7 @@ struct World {
 
   sim::EventLoop loop;
   sdn::Controller controller;
-  std::vector<std::unique_ptr<sdn::HostAgent>> agents;
+  std::vector<std::unique_ptr<sdn::MappingCache>> caches;
   std::vector<Broadcast> broadcasts;
   std::vector<Outcome> results;
   sdn::Controller::SubId push_sub = 0;
@@ -579,17 +576,17 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesSingleShardReference) {
   EXPECT_EQ(sharded.broadcasts.size(), reference.broadcasts.size());
   EXPECT_TRUE(sharded.broadcasts == reference.broadcasts);
   // Final per-host cache contents agree (timestamps aside).
-  for (std::size_t a = 0; a < shardeq::kAgents; ++a) {
+  for (std::size_t h = 0; h < shardeq::kHosts; ++h) {
     std::vector<std::pair<sdn::VirtKey, net::Gid>> sh, ref;
-    sharded.agents[a]->cache().for_each_entry(
+    sharded.caches[h]->for_each_entry(
         [&sh](const sdn::VirtKey& k, net::Gid p, sim::Time) {
           sh.emplace_back(k, p);
         });
-    reference.agents[a]->cache().for_each_entry(
+    reference.caches[h]->for_each_entry(
         [&ref](const sdn::VirtKey& k, net::Gid p, sim::Time) {
           ref.emplace_back(k, p);
         });
-    EXPECT_TRUE(sh == ref) << "agent " << a << " cache diverged";
+    EXPECT_TRUE(sh == ref) << "host " << h << " cache diverged";
   }
   // The sharded world actually exercised the tier under test.
   EXPECT_EQ(sharded.controller.num_shards(), 4u);

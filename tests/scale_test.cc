@@ -60,7 +60,7 @@ TEST(ScaleStormTest, PerShardQueueDepthBoundedByHostCount) {
     // The storm actually exercised every shard.
     EXPECT_GT(r.per_shard[s].queries, 0u) << "shard " << s << " idle";
   }
-  // The agent tier amortized: batches carried more keys than round trips.
+  // The miss lanes amortized: batches carried more keys than round trips.
   EXPECT_GT(r.agent_batches, 0u);
   EXPECT_GT(r.agent_batched_keys, r.agent_batches);
 }
@@ -177,7 +177,7 @@ TEST(ScaleStormTest, ShardOutageEventStreamIsPinned) {
   EXPECT_EQ(hash, 0x3c314a96bfa2a5ffull);
 }
 
-// A zero batch window leaves the host agents in pass-through: every leader
+// A zero batch window leaves the host caches without lanes: every leader
 // miss queries its shard directly (Controller::query_ex), with no lane,
 // and concurrent misses for one key still ride the leader's query.
 TEST(ScaleStormTest, PassThroughStormEventStreamIsPinned) {

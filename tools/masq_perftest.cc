@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "-r requires -c masq without --pf\n");
       return 2;
     }
-    bed.masq_backend(0).set_tenant_rate_limit(cfg.default_vni, rate);
+    bed.masq_backend(0).set_tenant_rate_limit(fabric::kDefaultVni, rate);
   }
 
   std::printf("# candidate=%s test=%s op=%s size=%uB iters=%d",

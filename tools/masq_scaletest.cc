@@ -10,7 +10,7 @@
 //     --shards <n>        controller shards             (default: 8)
 //     --rtt <us>          controller RTT                (default: 100)
 //     --service <us>      per-key shard service budget  (default: 1)
-//     --window <us>       host-agent batch window       (default: 5)
+//     --window <us>       host cache miss-lane window   (default: 5)
 //     --ip-changes <n>    vBond IP churn events         (default: 200)
 //     --rule-resets <n>   security-rule reset storms    (default: 3)
 //     --down-shard <i>    mark shard i unreachable ...
