@@ -370,6 +370,24 @@ TEST(GoldenNumbersTest, PerftestStreamsArePinnedPerCandidate) {
   }
 }
 
+TEST(GoldenNumbersTest, DeepWriteWindowIsPinned) {
+  // rdma_bw16's shape: 16 QPs with 128 writes of 4 KB in flight each, so
+  // FluidNet refills over ~2,000 flows on one path. Its goodput, events
+  // and trace hash, pinned to the bit.
+  const std::uint64_t h = fold_perftest(
+      pin::kFnvBasis, Candidate::kMasq,
+      [](fabric::Testbed& bed, std::uint64_t f) {
+        apps::perftest::BwConfig bc;
+        bc.msg_size = 4096;
+        bc.iterations = 300;
+        bc.window = 128;
+        bc.num_qps = 16;
+        return pin::fnv1a(f, std::bit_cast<std::uint64_t>(
+                                 apps::perftest::run_bw(bed, bc)));
+      });
+  EXPECT_EQ(h, 0x1f46a6a5e15c9bb9ull);
+}
+
 // ---- 100-seed scale-report sweep -----------------------------------------
 
 fabric::ScaleConfig sweep_cfg(std::uint64_t seed) {
