@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -259,6 +260,59 @@ TEST_F(FluidTest, NanCapacityIsRefused) {
   auto link = net.add_link(40.0, 0_ns);
   EXPECT_THROW(net.set_link_capacity(link, nan), std::invalid_argument);
   EXPECT_EQ(net.link_capacity_gbps(link), 40.0);
+}
+
+// Regression: a negative cap was honoured as a negative rate (on one 10G
+// link, a flow capped at -5G got -5G and the other 15G), and a NaN cap
+// silently meant uncapped. Both are refused, and a refused cap leaves the
+// flow as it was.
+TEST_F(FluidTest, NegativeOrNanCapIsRefused) {
+  auto link = net.add_link(10.0, 0_ns);
+  for (const double bad : {-5.0, std::nan("")}) {
+    EXPECT_THROW(net.start_flow({link}, 0, bad, nullptr),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(net.active_flows(), 0u);
+  auto a = net.start_flow({link}, 0, 2.5, nullptr);
+  auto b = net.start_flow({link}, 0, net::kUncapped, nullptr);
+  for (const double bad : {-5.0, std::nan("")}) {
+    EXPECT_THROW(net.set_flow_cap(a, bad), std::invalid_argument);
+  }
+  EXPECT_EQ(net.current_rate_gbps(a), 2.5);
+  EXPECT_EQ(net.current_rate_gbps(b), 7.5);
+  EXPECT_EQ(net.link_load_gbps(link), 10.0);
+}
+
+// Regression: a flow with no links and no cap was accepted at +inf Gbps,
+// and a finite one then completed at t = 0 forever (run_until never
+// returned). The "empty path and no cap" error in the filling was
+// unreachable. Refused now, at start and on uncapping; none of these
+// runs the loop.
+TEST_F(FluidTest, EmptyPathWithNoCapIsRefused) {
+  EXPECT_THROW(net.start_flow({}, 1000, net::kUncapped, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(net.start_flow({}, 0, net::kUncapped, nullptr),
+               std::invalid_argument);
+  EXPECT_EQ(net.active_flows(), 0u);
+  auto f = net.start_flow({}, 0, 4.0, nullptr);  // a cap bounds it
+  EXPECT_EQ(net.current_rate_gbps(f), 4.0);
+  EXPECT_THROW(net.set_flow_cap(f, net::kUncapped), std::invalid_argument);
+  EXPECT_EQ(net.current_rate_gbps(f), 4.0);
+}
+
+// An infinite link capacity would fill an uncapped flow at +inf, like an
+// empty path; refused as NaN is. A capacity set to -0.0 reads +0.0, so
+// no bottleneck share is -0.0.
+TEST_F(FluidTest, InfiniteCapacityIsRefusedAndZeroIsPositive) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(net.add_link(inf, 0_ns), std::invalid_argument);
+  auto link = net.add_link(40.0, 0_ns);
+  EXPECT_THROW(net.set_link_capacity(link, inf), std::invalid_argument);
+  EXPECT_EQ(net.link_capacity_gbps(link), 40.0);
+  auto f = net.start_flow({link}, 0, net::kUncapped, nullptr);
+  net.set_link_capacity(link, -0.0);
+  EXPECT_FALSE(std::signbit(net.link_capacity_gbps(link)));
+  EXPECT_FALSE(std::signbit(net.current_rate_gbps(f)));
 }
 
 // Filling shares can dip by an ulp from one round to the next. Here flow
