@@ -418,4 +418,93 @@ TEST_P(FluidEquivalenceTest, BitIdenticalToReferenceSolver) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidEquivalenceTest, ::testing::Range(0, 100));
 
+// rdma_bw16's shape: over a thousand finite flows in flight on one tx->rx
+// path, where a refill fixes every flow in one round. A few are capped
+// near the fair share (some caps bind, some changes skip the refill), a
+// few are cancelled, and the rest complete on their own.
+class FluidDepthEquivalenceTest : public FluidEquivalenceTest {};
+
+TEST_P(FluidDepthEquivalenceTest, ThousandsOfFlowsOnOnePath) {
+  sim::Rng rng(static_cast<std::uint64_t>(1000 + GetParam()));
+  const double tx_gbps = 30.0 + 20.0 * rng.next_double();
+  const double rx_gbps = 30.0 + 20.0 * rng.next_double();
+  const LinkId tx = fast_.add_link(tx_gbps, 500);
+  const LinkId rx = fast_.add_link(rx_gbps, 500);
+  ASSERT_EQ(ref_.add_link(tx_gbps, 500), tx);
+  ASSERT_EQ(ref_.add_link(rx_gbps, 500), rx);
+  links_ = 2;
+  const std::vector<LinkId> path{tx, rx};
+  const auto flows = static_cast<std::size_t>(1000 + rng.next_below(200));
+  const double share = std::min(tx_gbps, rx_gbps) / static_cast<double>(flows);
+
+  int capped = 0;
+  int cancelled = 0;
+  int step = 0;
+  while (started_.size() < flows) {
+    const std::uint64_t op = rng.next_below(100);
+    const char* name = "";
+    if (op < 70) {
+      name = "start_flow";
+      const std::uint64_t bytes = 4096 + rng.next_below(60'000);
+      const bool cap_it = rng.next_bool(0.02);
+      capped += cap_it;
+      const double cap =
+          cap_it ? share * (0.5 + rng.next_double()) : net::kUncapped;
+      const FlowId next = started_.size() + 1;
+      ASSERT_EQ(fast_.start_flow(path, bytes, cap,
+                                 [this, next] {
+                                   fast_done_.emplace_back(next,
+                                                           fast_loop_.now());
+                                 }),
+                next);
+      ASSERT_EQ(ref_.start_flow(path, bytes, cap,
+                                [this, next] {
+                                  ref_done_.emplace_back(next, ref_loop_.now());
+                                }),
+                next);
+      started_.push_back(next);
+    } else if (op < 72) {
+      name = "set_flow_cap";
+      const FlowId id = started_[rng.next_below(started_.size())];
+      const double cap = share * (0.5 + rng.next_double());
+      if (ref_.has_flow(id)) {
+        fast_.set_flow_cap(id, cap);
+        ref_.set_flow_cap(id, cap);
+      }
+    } else if (op < 75) {
+      name = "cancel_flow";
+      const FlowId id = started_[rng.next_below(started_.size())];
+      cancelled += ref_.has_flow(id);
+      fast_.cancel_flow(id);
+      ref_.cancel_flow(id);
+    } else {
+      name = "advance";
+      const sim::Time until =
+          fast_loop_.now() + static_cast<sim::Time>(rng.next_below(40));
+      fast_loop_.run_until(until);
+      ref_loop_.run_until(until);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same(name, step++));
+  }
+  EXPECT_GT(fast_.active_flows(), 900u);
+
+  // Drain in steps, so that many completions are compared mid-flight.
+  while (fast_.active_flows() > 0) {
+    const sim::Time until = fast_loop_.now() + 20'000;
+    fast_loop_.run_until(until);
+    ref_loop_.run_until(until);
+    ASSERT_NO_FATAL_FAILURE(expect_same("drain", step++));
+  }
+  fast_loop_.run();
+  ref_loop_.run();
+  ASSERT_NO_FATAL_FAILURE(expect_same("drain", step));
+  EXPECT_EQ(fast_loop_.now(), ref_loop_.now());
+  EXPECT_GT(capped, 0);
+  EXPECT_GT(cancelled, 0);
+  EXPECT_GT(fast_done_.size(), flows * 9 / 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FluidDepthEquivalenceTest,
+                         ::testing::Range(0, 4));
+
 }  // namespace
